@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <tuple>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -15,6 +16,62 @@ namespace {
 template <typename T>
 void EraseFrom(std::vector<T>& v, const T& value) {
   v.erase(std::remove(v.begin(), v.end(), value), v.end());
+}
+
+/// Inserts `id` into the ascending list under `key`. Ids are handed out
+/// in ascending order, so appending is the common case.
+template <typename Map, typename Id>
+void InsertSorted(Map& map, const typename Map::key_type& key, Id id) {
+  std::vector<Id>& list = map[key];
+  if (list.empty() || list.back() < id) {
+    list.push_back(id);
+  } else {
+    list.insert(std::lower_bound(list.begin(), list.end(), id), id);
+  }
+}
+
+/// Removes `id` from the ascending list under `key`, and the key with
+/// the list's last item.
+template <typename Map, typename Id>
+void EraseSorted(Map& map, const typename Map::key_type& key, Id id) {
+  auto it = map.find(key);
+  if (it == map.end()) return;
+  std::vector<Id>& list = it->second;
+  auto pos = std::lower_bound(list.begin(), list.end(), id);
+  if (pos != list.end() && *pos == id) list.erase(pos);
+  if (list.empty()) map.erase(it);
+}
+
+using AdjacencyMap =
+    std::unordered_map<ObjectId, std::vector<RelationshipEnd>>;
+
+bool EndBefore(const RelationshipEnd& a, const RelationshipEnd& b) {
+  return std::tie(a.rel, a.role) < std::tie(b.rel, b.role);
+}
+
+void AddEnd(AdjacencyMap& map, ObjectId obj, const RelationshipEnd& end) {
+  std::vector<RelationshipEnd>& list = map[obj];
+  if (list.empty() || EndBefore(list.back(), end)) {
+    list.push_back(end);
+  } else {
+    list.insert(std::lower_bound(list.begin(), list.end(), end, EndBefore),
+                end);
+  }
+}
+
+/// Removes every end of `rel` from `obj`'s list (two for a
+/// self-relationship), and the key with the list's last entry.
+void RemoveEnds(AdjacencyMap& map, ObjectId obj, RelationshipId rel) {
+  auto it = map.find(obj);
+  if (it == map.end()) return;
+  std::vector<RelationshipEnd>& list = it->second;
+  auto first = std::lower_bound(
+      list.begin(), list.end(), rel,
+      [](const RelationshipEnd& e, RelationshipId id) { return e.rel < id; });
+  auto last = first;
+  while (last != list.end() && last->rel == rel) ++last;
+  list.erase(first, last);
+  if (list.empty()) map.erase(it);
 }
 
 // Mutation counters fire on the success path only — after attached
@@ -100,8 +157,10 @@ void Database::IndexObject(const ObjectItem& obj) {
   if (obj.parent_kind == ParentKind::kObject) {
     children_by_key_[obj.parent_object][{obj.cls.raw(), obj.index}] = obj.id;
   }
-  by_class_[obj.cls].push_back(obj.id);
-  if (!obj.is_pattern) extent_counters_.AddObject(obj.cls);
+  if (!obj.is_pattern) {
+    InsertSorted(by_class_, obj.cls, obj.id);
+    extent_counters_.AddObject(obj.cls);
+  }
   ++live_objects_;
 }
 
@@ -121,8 +180,10 @@ void Database::UnindexObject(const ObjectItem& obj) {
       if (it->second.empty()) children_by_key_.erase(it);
     }
   }
-  EraseFrom(by_class_[obj.cls], obj.id);
-  if (!obj.is_pattern) extent_counters_.RemoveObject(obj.cls);
+  if (!obj.is_pattern) {
+    EraseSorted(by_class_, obj.cls, obj.id);
+    extent_counters_.RemoveObject(obj.cls);
+  }
   --live_objects_;
 }
 
@@ -139,40 +200,38 @@ ClassId Database::EndClass(ObjectId id) const {
   return it == objects_.end() ? ClassId() : it->second.cls;
 }
 
-void Database::MoveParticipantCounts(ObjectId obj, ClassId from_cls,
-                                     ClassId to_cls) {
-  auto it = rels_by_object_.find(obj);
-  if (it == rels_by_object_.end()) return;
-  for (RelationshipId rid : it->second) {
-    const RelationshipItem& rel = relationships_.at(rid);
-    if (rel.is_pattern) continue;
-    for (int role = 0; role < 2; ++role) {
-      if (rel.ends[role] != obj) continue;
-      extent_counters_.RemoveParticipant(rel.assoc, role, from_cls, obj);
-      extent_counters_.AddParticipant(rel.assoc, role, to_cls, obj);
-    }
+void Database::MoveObjectClass(ObjectItem* obj, ClassId to_cls) {
+  const ClassId from_cls = obj->cls;
+  obj->cls = to_cls;
+  if (obj->is_pattern) return;
+  EraseSorted(by_class_, from_cls, obj->id);
+  InsertSorted(by_class_, to_cls, obj->id);
+  extent_counters_.RemoveObject(from_cls);
+  extent_counters_.AddObject(to_cls);
+  for (const RelationshipEnd& end : AdjacencyOf(obj->id)) {
+    if (end.is_pattern) continue;
+    extent_counters_.RemoveParticipant(end.assoc, end.role, from_cls,
+                                       obj->id);
+    extent_counters_.AddParticipant(end.assoc, end.role, to_cls, obj->id);
   }
 }
 
-void Database::MoveParticipantCounts(const RelationshipItem& rel,
-                                     AssociationId from_assoc,
-                                     AssociationId to_assoc) {
-  if (rel.is_pattern) return;
-  for (int role = 0; role < 2; ++role) {
-    ClassId cls = EndClass(rel.ends[role]);
-    extent_counters_.RemoveParticipant(from_assoc, role, cls, rel.ends[role]);
-    extent_counters_.AddParticipant(to_assoc, role, cls, rel.ends[role]);
-  }
+void Database::MoveRelationshipAssociation(RelationshipItem* rel,
+                                           AssociationId to_assoc) {
+  UnindexRelationship(*rel);
+  rel->assoc = to_assoc;
+  IndexRelationship(*rel);
 }
 
 void Database::IndexRelationship(const RelationshipItem& rel) {
   if (rel.deleted) return;
-  by_assoc_[rel.assoc].push_back(rel.id);
-  rels_by_object_[rel.ends[0]].push_back(rel.id);
-  if (rel.ends[1] != rel.ends[0]) {
-    rels_by_object_[rel.ends[1]].push_back(rel.id);
+  for (int role = 0; role < 2; ++role) {
+    AddEnd(rels_by_object_, rel.ends[role],
+           {rel.id, rel.ends[1 - role], rel.assoc,
+            static_cast<std::uint8_t>(role), rel.is_pattern});
   }
   if (!rel.is_pattern) {
+    InsertSorted(by_assoc_, rel.assoc, rel.id);
     extent_counters_.AddRelationship(rel.assoc);
     for (int role = 0; role < 2; ++role) {
       extent_counters_.AddParticipant(rel.assoc, role,
@@ -184,12 +243,12 @@ void Database::IndexRelationship(const RelationshipItem& rel) {
 }
 
 void Database::UnindexRelationship(const RelationshipItem& rel) {
-  EraseFrom(by_assoc_[rel.assoc], rel.id);
-  EraseFrom(rels_by_object_[rel.ends[0]], rel.id);
+  RemoveEnds(rels_by_object_, rel.ends[0], rel.id);
   if (rel.ends[1] != rel.ends[0]) {
-    EraseFrom(rels_by_object_[rel.ends[1]], rel.id);
+    RemoveEnds(rels_by_object_, rel.ends[1], rel.id);
   }
   if (!rel.is_pattern) {
+    EraseSorted(by_assoc_, rel.assoc, rel.id);
     extent_counters_.RemoveRelationship(rel.assoc);
     for (int role = 0; role < 2; ++role) {
       extent_counters_.RemoveParticipant(rel.assoc, role,
@@ -551,9 +610,8 @@ Status Database::DeleteObject(ObjectId root_id) {
         work.push_back(child);
       }
     }
-    auto it = rels_by_object_.find(oid);
-    if (it == rels_by_object_.end()) continue;
-    for (RelationshipId rid : it->second) {
+    for (const RelationshipEnd& end : AdjacencyOf(oid)) {
+      const RelationshipId rid = end.rel;
       if (!rel_seen.insert(rid).second) continue;
       rels.push_back(rid);
       for (ObjectId attr : relationships_.at(rid).children) {
@@ -688,38 +746,28 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
   if (!obj->is_pattern) {
     // Sub-objects must keep a resolvable role: each child's class must be
     // declared on the new class or one of its generalization ancestors.
-    auto new_chain = schema_->GeneralizationChain(new_cls);
-    std::unordered_set<std::uint64_t> chain_set;
-    for (ClassId c : new_chain) chain_set.insert(c.raw());
     for (ObjectId child_id : obj->children) {
       const ObjectItem& child = objects_.at(child_id);
       if (child.deleted) continue;
       auto child_cls = schema_->GetClass(child.cls);
       if (!child_cls.ok()) continue;
       if ((*child_cls)->owner.kind != schema::OwnerKind::kClass ||
-          chain_set.count((*child_cls)->owner.class_id().raw()) == 0) {
+          !schema_->IsSameOrSpecializationOf(
+              new_cls, (*child_cls)->owner.class_id())) {
         return Status::ConsistencyViolation(
             "class membership: sub-object role '" + (*child_cls)->full_name +
             "' does not exist on class '" + target->full_name + "'");
       }
     }
     // Relationships must keep conforming participants.
-    auto it = rels_by_object_.find(obj_id);
-    if (it != rels_by_object_.end()) {
-      for (RelationshipId rid : it->second) {
-        const RelationshipItem& rel = relationships_.at(rid);
-        auto assoc = schema_->GetAssociation(rel.assoc);
-        if (!assoc.ok()) continue;
-        for (int i = 0; i < 2; ++i) {
-          if (rel.ends[i] != obj_id) continue;
-          if (!schema_->IsSameOrSpecializationOf(new_cls,
-                                                 (*assoc)->roles[i].target)) {
-            return Status::ConsistencyViolation(
-                "class membership: object would no longer conform to role "
-                "'" + (*assoc)->roles[i].name + "' of association '" +
-                (*assoc)->name + "'");
-          }
-        }
+    for (const RelationshipEnd& end : AdjacencyOf(obj_id)) {
+      auto assoc = schema_->GetAssociation(end.assoc);
+      if (!assoc.ok()) continue;
+      const schema::Role& role = (*assoc)->roles[end.role];
+      if (!schema_->IsSameOrSpecializationOf(new_cls, role.target)) {
+        return Status::ConsistencyViolation(
+            "class membership: object would no longer conform to role '" +
+            role.name + "' of association '" + (*assoc)->name + "'");
       }
     }
     // Value must conform to the new class.
@@ -728,15 +776,8 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
     }
   }
 
-  ClassId old_cls = obj->cls;
-  EraseFrom(by_class_[old_cls], obj_id);
-  obj->cls = new_cls;
-  by_class_[new_cls].push_back(obj_id);
-  if (!obj->is_pattern) {
-    extent_counters_.RemoveObject(old_cls);
-    extent_counters_.AddObject(new_cls);
-    MoveParticipantCounts(obj_id, old_cls, new_cls);
-  }
+  const ClassId old_cls = obj->cls;
+  MoveObjectClass(obj, new_cls);
   Touch(obj_id);
   // Migrates attribute-index entries between class extents: the refresh
   // clears the object from indexes that no longer cover its class and
@@ -748,12 +789,7 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
                       RelationshipId()};
     Status veto = RunProcedures(new_cls, event);
     if (!veto.ok()) {
-      EraseFrom(by_class_[new_cls], obj_id);
-      obj->cls = old_cls;
-      by_class_[old_cls].push_back(obj_id);
-      extent_counters_.RemoveObject(new_cls);
-      extent_counters_.AddObject(old_cls);
-      MoveParticipantCounts(obj_id, new_cls, old_cls);
+      MoveObjectClass(obj, old_cls);
       RefreshAttrIndexes(obj_id);
       return veto;
     }
@@ -869,16 +905,14 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
           "participants already exists");
     }
     // Attribute children must keep a resolvable role on the new chain.
-    auto new_chain = schema_->GeneralizationChain(new_assoc_id);
-    std::unordered_set<std::uint64_t> chain_set;
-    for (AssociationId a : new_chain) chain_set.insert(a.raw());
     for (ObjectId child_id : rel->children) {
       const ObjectItem& child = objects_.at(child_id);
       if (child.deleted) continue;
       auto child_cls = schema_->GetClass(child.cls);
       if (!child_cls.ok()) continue;
       if ((*child_cls)->owner.kind != schema::OwnerKind::kAssociation ||
-          chain_set.count((*child_cls)->owner.association_id().raw()) == 0) {
+          !schema_->IsSameOrSpecializationOf(
+              new_assoc_id, (*child_cls)->owner.association_id())) {
         return Status::ConsistencyViolation(
             "class membership: attribute role '" + (*child_cls)->full_name +
             "' does not exist on association '" + new_assoc->name + "'");
@@ -888,13 +922,9 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
     // must respect maximum participation; temporarily unindex so the
     // relationship does not count against itself.
     UnindexRelationship(*rel);
-    std::unordered_set<std::uint64_t> old_chain;
-    for (AssociationId a : schema_->GeneralizationChain(rel->assoc)) {
-      old_chain.insert(a.raw());
-    }
     Status s = Status::OK();
-    for (AssociationId a : new_chain) {
-      if (old_chain.count(a.raw()) != 0) continue;
+    for (AssociationId a : schema_->GeneralizationChain(new_assoc_id)) {
+      if (schema_->IsSameOrSpecializationOf(rel->assoc, a)) continue;
       auto info = schema_->GetAssociation(a);
       for (int i = 0; i < 2 && s.ok(); ++i) {
         const schema::Role& role = (*info)->roles[i];
@@ -920,15 +950,8 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
     IndexRelationship(*rel);
   }
 
-  AssociationId old_assoc = rel->assoc;
-  EraseFrom(by_assoc_[old_assoc], rel_id);
-  rel->assoc = new_assoc_id;
-  by_assoc_[new_assoc_id].push_back(rel_id);
-  if (!rel->is_pattern) {
-    extent_counters_.RemoveRelationship(old_assoc);
-    extent_counters_.AddRelationship(new_assoc_id);
-    MoveParticipantCounts(*rel, old_assoc, new_assoc_id);
-  }
+  const AssociationId old_assoc = rel->assoc;
+  MoveRelationshipAssociation(rel, new_assoc_id);
   Touch(rel_id);
   // Migrates relationship-index entries between association extents.
   RefreshRelAttrIndexes(rel_id);
@@ -938,12 +961,7 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
                       rel_id};
     Status veto = RunProcedures(new_assoc_id, event);
     if (!veto.ok()) {
-      EraseFrom(by_assoc_[new_assoc_id], rel_id);
-      rel->assoc = old_assoc;
-      by_assoc_[old_assoc].push_back(rel_id);
-      extent_counters_.RemoveRelationship(new_assoc_id);
-      extent_counters_.AddRelationship(old_assoc);
-      MoveParticipantCounts(*rel, new_assoc_id, old_assoc);
+      MoveRelationshipAssociation(rel, old_assoc);
       RefreshRelAttrIndexes(rel_id);
       return veto;
     }

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,6 +68,22 @@ struct UpdateEvent {
 /// schema element is updated; used to express complex integrity
 /// constraints"). Part of the consistency information.
 using AttachedProcedure = std::function<Status(const UpdateEvent&)>;
+
+/// One end of a live relationship, as seen from the object filling it:
+/// an entry of that object's adjacency list (Database::AdjacencyOf).
+/// A self-relationship has two entries at its one object, one per role.
+struct RelationshipEnd {
+  RelationshipId rel;
+  /// The object at the opposite end (the owner itself for a
+  /// self-relationship).
+  ObjectId other;
+  AssociationId assoc;
+  /// Role the owning object fills: 0 or 1.
+  std::uint8_t role = 0;
+  bool is_pattern = false;
+
+  bool operator==(const RelationshipEnd&) const = default;
+};
 
 /// Options for item creation.
 struct CreateOptions {
@@ -152,19 +169,43 @@ class Database {
   std::string FullName(ObjectId id) const;
 
   /// Live non-pattern objects whose class is `cls` (or a specialization,
-  /// when `include_specializations`).
+  /// when `include_specializations`), ascending. O(output): a copy of
+  /// the maintained extent, or a merge of the family's extents.
   std::vector<ObjectId> ObjectsOfClass(
       ClassId cls, bool include_specializations = true) const;
 
-  /// Live non-pattern relationships of `assoc` (or specializations).
+  /// Live non-pattern relationships of `assoc` (or specializations),
+  /// ascending. O(output), as ObjectsOfClass.
   std::vector<RelationshipId> RelationshipsOfAssociation(
       AssociationId assoc, bool include_specializations = true) const;
 
-  /// Live relationships `obj` participates in; restricted to the family of
-  /// `assoc` when valid, and to `role` when >= 0.
+  /// Live non-pattern relationships `obj` participates in, ascending;
+  /// restricted to the family of `assoc` when valid, and to `role` when
+  /// >= 0. O(degree of `obj`).
   std::vector<RelationshipId> RelationshipsOf(
       ObjectId obj, AssociationId assoc = AssociationId(),
       int role = -1) const;
+
+  /// Every live relationship end `obj` fills, pattern relationships
+  /// included, ordered by (relationship, role). The view is invalidated
+  /// by the next mutation.
+  std::span<const RelationshipEnd> AdjacencyOf(ObjectId obj) const;
+
+  /// Calls `fn(end)` for each end of AdjacencyOf(obj) that belongs to a
+  /// non-pattern relationship, restricted to the family of `assoc` when
+  /// valid and to `role` when >= 0. O(degree of `obj`), no allocation.
+  template <typename Fn>
+  void ForEachRelationshipEnd(ObjectId obj, AssociationId assoc, int role,
+                              Fn&& fn) const {
+    for (const RelationshipEnd& end : AdjacencyOf(obj)) {
+      if (end.is_pattern || (role >= 0 && end.role != role)) continue;
+      if (assoc.valid() &&
+          !schema_->IsSameOrSpecializationOf(end.assoc, assoc)) {
+        continue;
+      }
+      fn(end);
+    }
+  }
 
   /// Live *pattern* relationships `obj` participates in (the overlay data
   /// the pattern layer projects into inheritor contexts), restricted to the
@@ -187,6 +228,19 @@ class Database {
   void ForEachObject(const std::function<void(const ObjectItem&)>& fn) const;
   void ForEachRelationship(
       const std::function<void(const RelationshipItem&)>& fn) const;
+
+  /// Key counts of the class-extent, association-extent and adjacency
+  /// maps. No key maps to an empty list, so these match a fresh
+  /// RebuildIndexes() of the same items (the differential tests check).
+  struct RetrievalMapSizes {
+    size_t classes = 0;
+    size_t associations = 0;
+    size_t adjacency = 0;
+    bool operator==(const RetrievalMapSizes&) const = default;
+  };
+  RetrievalMapSizes retrieval_map_sizes() const {
+    return {by_class_.size(), by_assoc_.size(), rels_by_object_.size()};
+  }
 
   size_t num_live_objects() const { return live_objects_; }
   size_t num_live_relationships() const { return live_relationships_; }
@@ -350,15 +404,14 @@ class Database {
   /// Class of a relationship end, tombstoned or not (degree statistics
   /// must see the class an end had when the relationship was indexed).
   ClassId EndClass(ObjectId id) const;
-  /// Moves the degree statistics of every live non-pattern relationship
-  /// end filled by `obj` from `from_cls` to `to_cls` (object reclassify
-  /// and its veto rollback).
-  void MoveParticipantCounts(ObjectId obj, ClassId from_cls, ClassId to_cls);
-  /// Moves both ends' degree statistics of `rel` from `from_assoc` to
-  /// `to_assoc` (relationship reclassify and its veto rollback).
-  void MoveParticipantCounts(const RelationshipItem& rel,
-                             AssociationId from_assoc,
-                             AssociationId to_assoc);
+  /// Sets `obj`'s class to `to_cls`, moving it between class extents
+  /// together with the degree statistics of every live non-pattern
+  /// relationship end it fills (object reclassify and its veto rollback).
+  void MoveObjectClass(ObjectItem* obj, ClassId to_cls);
+  /// Re-indexes `rel` under `to_assoc` (relationship reclassify and its
+  /// veto rollback).
+  void MoveRelationshipAssociation(RelationshipItem* rel,
+                                   AssociationId to_assoc);
   void Touch(ObjectId id) { changed_objects_.insert(id); }
   void Touch(RelationshipId id) { changed_relationships_.insert(id); }
   /// Re-derives the attribute-index entries of `id` (post-mutation hook;
@@ -392,12 +445,18 @@ class Database {
   IdGenerator<ObjectId> object_ids_;
   IdGenerator<RelationshipId> relationship_ids_;
 
-  // Indexes over live items.
+  // Retrieval maps over live items (docs/execution.md, "Access paths").
+  // Maintained by every mutation path, re-derived by RebuildIndexes().
+  // Class and association extents hold non-pattern items only, sorted
+  // ascending; pattern roots are reached through pattern_name_index_
+  // and pattern relationships through the adjacency lists. No map keeps
+  // an empty list: the entry goes with its last item.
   std::unordered_map<std::string, ObjectId> name_index_;          // normal
   std::unordered_map<std::string, ObjectId> pattern_name_index_;  // patterns
   std::unordered_map<ClassId, std::vector<ObjectId>> by_class_;
   std::unordered_map<AssociationId, std::vector<RelationshipId>> by_assoc_;
-  std::unordered_map<ObjectId, std::vector<RelationshipId>> rels_by_object_;
+  /// Per-object adjacency, sorted by (relationship, role).
+  std::unordered_map<ObjectId, std::vector<RelationshipEnd>> rels_by_object_;
 
   /// Live children of an object parent keyed by (class, index), so dotted
   /// path resolution is O(1) per segment instead of O(children). Among

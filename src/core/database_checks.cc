@@ -80,19 +80,10 @@ std::uint32_t Database::NextChildIndex(const std::vector<ObjectId>& children,
 
 size_t Database::CountParticipation(ObjectId obj, AssociationId assoc,
                                     int role) const {
-  auto it = rels_by_object_.find(obj);
-  if (it == rels_by_object_.end()) return 0;
-  std::unordered_set<std::uint64_t> family;
-  for (AssociationId a : schema_->AssociationFamily(assoc)) {
-    family.insert(a.raw());
-  }
   size_t n = 0;
-  for (RelationshipId rid : it->second) {
-    const RelationshipItem& rel = relationships_.at(rid);
-    if (rel.is_pattern) continue;
-    if (family.count(rel.assoc.raw()) == 0) continue;
-    if (rel.ends[role] == obj) ++n;
-  }
+  ForEachRelationshipEnd(obj, assoc, role, [&n](const RelationshipEnd&) {
+    ++n;
+  });
   return n;
 }
 
@@ -127,47 +118,31 @@ bool Database::DuplicateExists(AssociationId assoc, ObjectId end0,
   // object's degree stays small while an association can hold the whole
   // database (creating n relationships used to cost O(n^2) through this
   // check).
-  auto it = rels_by_object_.find(end0);
-  if (it == rels_by_object_.end()) return false;
-  for (RelationshipId rid : it->second) {
-    if (rid == ignore) continue;
-    const RelationshipItem& rel = relationships_.at(rid);
-    if (!rel.is_pattern && rel.assoc == assoc && rel.ends[0] == end0 &&
-        rel.ends[1] == end1) {
-      return true;
-    }
+  for (const RelationshipEnd& end : AdjacencyOf(end0)) {
+    if (end.rel == ignore || end.is_pattern || end.role != 0) continue;
+    if (end.assoc == assoc && end.other == end1) return true;
   }
   return false;
 }
 
 bool Database::WouldCreateCycle(AssociationId root, ObjectId from,
                                 ObjectId to, RelationshipId ignore) const {
-  // Adding edge to->... wait: the new edge is from->to (role0 -> role1).
-  // A cycle appears iff `from` is reachable from `to` via existing edges.
+  // The new edge is from->to (role 0 -> role 1); it closes a cycle iff
+  // `from` is reachable from `to` over existing edges.
   if (from == to) return true;
-  std::unordered_set<std::uint64_t> family;
-  for (AssociationId a : schema_->AssociationFamily(root)) {
-    family.insert(a.raw());
-  }
   std::vector<ObjectId> stack{to};
   std::unordered_set<ObjectId> seen{to};
-  while (!stack.empty()) {
+  bool found = false;
+  while (!stack.empty() && !found) {
     ObjectId cur = stack.back();
     stack.pop_back();
-    auto it = rels_by_object_.find(cur);
-    if (it == rels_by_object_.end()) continue;
-    for (RelationshipId rid : it->second) {
-      if (rid == ignore) continue;
-      const RelationshipItem& rel = relationships_.at(rid);
-      if (rel.is_pattern) continue;
-      if (family.count(rel.assoc.raw()) == 0) continue;
-      if (rel.ends[0] != cur) continue;
-      ObjectId next = rel.ends[1];
-      if (next == from) return true;
-      if (seen.insert(next).second) stack.push_back(next);
-    }
+    ForEachRelationshipEnd(cur, root, 0, [&](const RelationshipEnd& end) {
+      if (end.rel == ignore) return;
+      if (end.other == from) found = true;
+      if (seen.insert(end.other).second) stack.push_back(end.other);
+    });
   }
-  return false;
+  return found;
 }
 
 Status Database::CheckAcyclicity(AssociationId assoc, ObjectId end0,
@@ -356,16 +331,12 @@ Report Database::AuditConsistency() const {
     auto info = schema_->GetAssociation(a);
     if (!(*info)->acyclic) continue;
     // Kahn's algorithm over the family graph.
-    std::unordered_set<std::uint64_t> family;
-    for (AssociationId f : schema_->AssociationFamily(a)) {
-      family.insert(f.raw());
-    }
     std::unordered_map<ObjectId, size_t> indegree;
     std::unordered_map<ObjectId, std::vector<ObjectId>> adj;
     size_t num_edges = 0;
     for (const auto& [rid, rel] : relationships_) {
       if (rel.deleted || rel.is_pattern) continue;
-      if (family.count(rel.assoc.raw()) == 0) continue;
+      if (!schema_->IsSameOrSpecializationOf(rel.assoc, a)) continue;
       adj[rel.ends[0]].push_back(rel.ends[1]);
       ++indegree[rel.ends[1]];
       indegree.emplace(rel.ends[0], indegree[rel.ends[0]]);

@@ -4,6 +4,7 @@
 // seed_query.
 
 #include <algorithm>
+#include <span>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -90,81 +91,93 @@ std::string Database::FullName(ObjectId id) const {
   return prefix + "." + segment;
 }
 
-std::vector<ObjectId> Database::ObjectsOfClass(
-    ClassId cls, bool include_specializations) const {
-  std::vector<ObjectId> out;
-  std::vector<ClassId> family =
-      include_specializations ? schema_->ClassFamily(cls)
-                              : std::vector<ClassId>{cls};
-  for (ClassId c : family) {
-    auto it = by_class_.find(c);
-    if (it == by_class_.end()) continue;
-    for (ObjectId id : it->second) {
-      if (!objects_.at(id).is_pattern) out.push_back(id);
+namespace {
+
+/// The ascending union of the disjoint ascending lists `map` holds for
+/// `family`: a copy when one list is non-empty, otherwise the lists
+/// appended and merged pairwise, level by level — O(output x log k) for
+/// k lists, no item lookups and no sort.
+template <typename Key, typename Id>
+std::vector<Id> MergeExtents(
+    const std::unordered_map<Key, std::vector<Id>>& map,
+    std::span<const Key> family) {
+  std::vector<const std::vector<Id>*> lists;
+  size_t total = 0;
+  for (const Key& key : family) {
+    auto it = map.find(key);
+    if (it == map.end()) continue;
+    lists.push_back(&it->second);
+    total += it->second.size();
+  }
+  if (lists.size() == 1) return *lists.front();
+  std::vector<Id> out;
+  out.reserve(total);
+  std::vector<size_t> bounds{0};
+  for (const std::vector<Id>* list : lists) {
+    out.insert(out.end(), list->begin(), list->end());
+    bounds.push_back(out.size());
+  }
+  const size_t k = lists.size();
+  for (size_t width = 1; width < k; width *= 2) {
+    for (size_t i = 0; i + width < k; i += 2 * width) {
+      std::inplace_merge(out.begin() + bounds[i],
+                         out.begin() + bounds[i + width],
+                         out.begin() + bounds[std::min(i + 2 * width, k)]);
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
+}
+
+}  // namespace
+
+std::vector<ObjectId> Database::ObjectsOfClass(
+    ClassId cls, bool include_specializations) const {
+  if (include_specializations) {
+    return MergeExtents<ClassId, ObjectId>(by_class_,
+                                           schema_->ClassFamily(cls));
+  }
+  return MergeExtents<ClassId, ObjectId>(by_class_, {&cls, 1});
 }
 
 std::vector<RelationshipId> Database::RelationshipsOfAssociation(
     AssociationId assoc, bool include_specializations) const {
-  std::vector<RelationshipId> out;
-  std::vector<AssociationId> family =
-      include_specializations ? schema_->AssociationFamily(assoc)
-                              : std::vector<AssociationId>{assoc};
-  for (AssociationId a : family) {
-    auto it = by_assoc_.find(a);
-    if (it == by_assoc_.end()) continue;
-    for (RelationshipId id : it->second) {
-      if (!relationships_.at(id).is_pattern) out.push_back(id);
-    }
+  if (include_specializations) {
+    return MergeExtents<AssociationId, RelationshipId>(
+        by_assoc_, schema_->AssociationFamily(assoc));
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return MergeExtents<AssociationId, RelationshipId>(by_assoc_, {&assoc, 1});
+}
+
+std::span<const RelationshipEnd> Database::AdjacencyOf(ObjectId obj) const {
+  auto it = rels_by_object_.find(obj);
+  if (it == rels_by_object_.end()) return {};
+  return it->second;
 }
 
 std::vector<RelationshipId> Database::RelationshipsOf(ObjectId obj,
                                                       AssociationId assoc,
                                                       int role) const {
+  // Ends are ordered by (relationship, role), so the ids come out
+  // ascending; with role < 0 a self-relationship's two ends are adjacent
+  // and listed once.
   std::vector<RelationshipId> out;
-  auto it = rels_by_object_.find(obj);
-  if (it == rels_by_object_.end()) return out;
-  std::unordered_set<std::uint64_t> family_set;
-  if (assoc.valid()) {
-    for (AssociationId a : schema_->AssociationFamily(assoc)) {
-      family_set.insert(a.raw());
-    }
-  }
-  for (RelationshipId rid : it->second) {
-    const RelationshipItem& rel = relationships_.at(rid);
-    if (rel.is_pattern) continue;
-    if (assoc.valid() && family_set.count(rel.assoc.raw()) == 0) continue;
-    if (role >= 0 && rel.ends[role] != obj) continue;
-    out.push_back(rid);
-  }
-  std::sort(out.begin(), out.end());
+  ForEachRelationshipEnd(obj, assoc, role, [&out](const RelationshipEnd& e) {
+    if (out.empty() || out.back() != e.rel) out.push_back(e.rel);
+  });
   return out;
 }
 
 std::vector<RelationshipId> Database::PatternRelationshipsOf(
     ObjectId obj, AssociationId assoc) const {
   std::vector<RelationshipId> out;
-  auto it = rels_by_object_.find(obj);
-  if (it == rels_by_object_.end()) return out;
-  std::unordered_set<std::uint64_t> family_set;
-  if (assoc.valid()) {
-    for (AssociationId a : schema_->AssociationFamily(assoc)) {
-      family_set.insert(a.raw());
+  for (const RelationshipEnd& end : AdjacencyOf(obj)) {
+    if (!end.is_pattern) continue;
+    if (assoc.valid() &&
+        !schema_->IsSameOrSpecializationOf(end.assoc, assoc)) {
+      continue;
     }
+    if (out.empty() || out.back() != end.rel) out.push_back(end.rel);
   }
-  for (RelationshipId rid : it->second) {
-    const RelationshipItem& rel = relationships_.at(rid);
-    if (!rel.is_pattern) continue;
-    if (assoc.valid() && family_set.count(rel.assoc.raw()) == 0) continue;
-    out.push_back(rid);
-  }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -1,7 +1,7 @@
 #include "core/extent_counters.h"
 
 #include <bit>
-#include <vector>
+#include <span>
 
 namespace seed::core {
 
@@ -120,9 +120,10 @@ size_t ExtentCounters::CountParticipants(AssociationId assoc, int role,
 ExtentCounters::DegreeSummary ExtentCounters::DegreeStats(
     const schema::Schema& schema, AssociationId assoc, int role, ClassId cls,
     bool include_specializations) const {
-  std::vector<ClassId> classes =
-      include_specializations ? schema.ClassFamily(cls)
-                              : std::vector<ClassId>{cls};
+  const std::span<const ClassId> classes =
+      include_specializations
+          ? std::span<const ClassId>(schema.ClassFamily(cls))
+          : std::span<const ClassId>(&cls, 1);
   DegreeSummary summary;
   size_t top_bucket = 0;
   bool any = false;
@@ -158,9 +159,10 @@ ExtentCounters::DegreeSummary ExtentCounters::DegreeStats(
 size_t ExtentCounters::CountParticipantsExtent(
     const schema::Schema& schema, AssociationId assoc, int role, ClassId cls,
     bool include_specializations) const {
-  std::vector<ClassId> classes =
-      include_specializations ? schema.ClassFamily(cls)
-                              : std::vector<ClassId>{cls};
+  const std::span<const ClassId> classes =
+      include_specializations
+          ? std::span<const ClassId>(schema.ClassFamily(cls))
+          : std::span<const ClassId>(&cls, 1);
   size_t total = 0;
   for (AssociationId a : schema.AssociationFamily(assoc)) {
     auto it = participants_.find(a);

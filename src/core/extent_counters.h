@@ -19,7 +19,8 @@
 // actually touch. Relationship create/delete maintain both ends;
 // reclassifying an object migrates its ends' counts between classes, and
 // reclassifying a relationship migrates them between associations
-// (Database::MoveParticipantCounts, run forward and on veto rollback).
+// (Database::MoveObjectClass / MoveRelationshipAssociation, run forward
+// and on veto rollback).
 //
 // Family (generalization-closed) counts are summed on demand over the
 // schema's class/association family, which is small; the per-extent

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "exec/worker_pool.h"
@@ -108,12 +108,13 @@ void Algebra::Dedup(QueryRelation* rel) const {
 
 QueryRelation Algebra::ClassExtent(ClassId cls, std::string attribute,
                                    bool include_specializations) const {
+  // ObjectsOfClass is ascending and duplicate-free already.
   QueryRelation out;
   out.attributes = {std::move(attribute)};
-  for (ObjectId id : db_->ObjectsOfClass(cls, include_specializations)) {
-    out.tuples.push_back({id});
-  }
-  Dedup(&out);
+  const std::vector<ObjectId> ids =
+      db_->ObjectsOfClass(cls, include_specializations);
+  out.tuples.reserve(ids.size());
+  for (ObjectId id : ids) out.tuples.push_back({id});
   return out;
 }
 
@@ -186,16 +187,41 @@ Result<QueryRelation> Algebra::CartesianProduct(const QueryRelation& a,
 
 namespace {
 
-/// Tuples hashed by their join attribute.
-using TupleIndex =
-    std::unordered_map<ObjectId, std::vector<const std::vector<ObjectId>*>>;
+/// A relation's rows indexed by one column: (key, row) pairs sorted by
+/// key, so the whole side costs one allocation rather than one per key.
+/// Operator outputs are sorted by their first column, so indexing that
+/// column needs no sort.
+class TupleIndex {
+ public:
+  struct Entry {
+    ObjectId key;
+    std::size_t row;
+    auto operator<=>(const Entry&) const = default;
+  };
 
-TupleIndex HashTuples(const QueryRelation& rel, int attr) {
-  TupleIndex index;
-  index.reserve(rel.size());
-  for (const auto& tuple : rel.tuples) index[tuple[attr]].push_back(&tuple);
-  return index;
-}
+  TupleIndex(const QueryRelation& rel, int attr) {
+    entries_.reserve(rel.size());
+    for (std::size_t row = 0; row < rel.size(); ++row) {
+      entries_.push_back({rel.tuples[row][attr], row});
+    }
+    if (!std::is_sorted(entries_.begin(), entries_.end())) {
+      std::sort(entries_.begin(), entries_.end());
+    }
+  }
+
+  /// The rows whose key is `key`, in row order.
+  std::span<const Entry> Find(ObjectId key) const {
+    auto lo = std::lower_bound(
+        entries_.begin(), entries_.end(), key,
+        [](const Entry& e, ObjectId k) { return e.key < k; });
+    auto hi = lo;
+    while (hi != entries_.end() && hi->key == key) ++hi;
+    return {lo, hi};
+  }
+
+ private:
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
@@ -243,154 +269,49 @@ Result<QueryRelation> Algebra::RelationshipJoin(
   // An empty input joins with nothing; never touch the association.
   if (a.empty() || b.empty()) return out;
 
-  const int left_role = options.left_role;
-  const int right_role = 1 - left_role;
-  auto concat = [](const std::vector<ObjectId>& ta,
-                   const std::vector<ObjectId>& tb) {
-    std::vector<ObjectId> tuple = ta;
-    tuple.insert(tuple.end(), tb.begin(), tb.end());
-    return tuple;
-  };
-
-  if (options.method == JoinOptions::Method::kIndexNestedLoop) {
-    static obs::Counter* inl_joins =
-        obs::MetricsRegistry::Global().GetCounter("algebra.join.inl.total");
-    inl_joins->Increment();
-    // Drive from one side, probe the per-object relationship map; the
-    // association extent is never materialized. The driving side is
-    // morsel-partitioned (probes only read the database and the built
-    // tuple index).
-    if (options.build_side == JoinOptions::Side::kLeft) {
-      TupleIndex right_index = HashTuples(b, ib);
-      PartitionedEmit(
-          policy_, a.size(), &out.tuples,
-          [this, &a, &right_index, &concat, ia, assoc, left_role, right_role](
-              std::size_t begin, std::size_t end, Tuples* sink) {
-            for (std::size_t t = begin; t < end; ++t) {
-              const auto& ta = a.tuples[t];
-              for (RelationshipId rid :
-                   db_->RelationshipsOf(ta[ia], assoc, left_role)) {
-                auto rel = db_->GetRelationship(rid);
-                if (!rel.ok()) continue;
-                auto matches = right_index.find((*rel)->ends[right_role]);
-                if (matches == right_index.end()) continue;
-                for (const auto* tb : matches->second) {
-                  sink->push_back(concat(ta, *tb));
-                }
-              }
-            }
-          });
-    } else {
-      TupleIndex left_index = HashTuples(a, ia);
-      PartitionedEmit(
-          policy_, b.size(), &out.tuples,
-          [this, &b, &left_index, &concat, ib, assoc, left_role, right_role](
-              std::size_t begin, std::size_t end, Tuples* sink) {
-            for (std::size_t t = begin; t < end; ++t) {
-              const auto& tb = b.tuples[t];
-              for (RelationshipId rid :
-                   db_->RelationshipsOf(tb[ib], assoc, right_role)) {
-                auto rel = db_->GetRelationship(rid);
-                if (!rel.ok()) continue;
-                auto matches = left_index.find((*rel)->ends[left_role]);
-                if (matches == left_index.end()) continue;
-                for (const auto* ta : matches->second) {
-                  sink->push_back(concat(*ta, tb));
-                }
-              }
-            }
-          });
-    }
-    Dedup(&out);
-    return out;
-  }
-
-  // Hash join: one pass over the association family builds the adjacency
-  // keyed by the streamed side's end; the other side is hash-indexed.
+  // Both methods stream one input through the maintained per-object
+  // adjacency (no association-wide table is built) and look each
+  // partner up in an index over the other input; they differ only in
+  // which side streams. kHash streams the side opposite its build side,
+  // kIndexNestedLoop drives from its build side.
+  const bool hash = options.method == JoinOptions::Method::kHash;
   static obs::Counter* hash_joins =
       obs::MetricsRegistry::Global().GetCounter("algebra.join.hash.total");
-  hash_joins->Increment();
+  static obs::Counter* inl_joins =
+      obs::MetricsRegistry::Global().GetCounter("algebra.join.inl.total");
+  (hash ? hash_joins : inl_joins)->Increment();
   const bool build_left = options.build_side == JoinOptions::Side::kLeft;
-  const int key_role = build_left ? right_role : left_role;
-  const int val_role = 1 - key_role;
-  using Adjacency = std::unordered_map<ObjectId, std::vector<ObjectId>>;
-  Adjacency partners_of;
-  const std::vector<RelationshipId> rels =
-      db_->RelationshipsOfAssociation(assoc, true);
-  auto build_range = [&](std::size_t begin, std::size_t end,
-                         Adjacency* table) {
-    for (std::size_t i = begin; i < end; ++i) {
-      auto rel = db_->GetRelationship(rels[i]);
-      if (!rel.ok()) continue;
-      (*table)[(*rel)->ends[key_role]].push_back((*rel)->ends[val_role]);
-    }
-  };
-  if (policy_.ShouldPartition(rels.size())) {
-    // Partitioned build: one partial table per lane-sized chunk, merged
-    // in chunk order — each key's partner list comes out in adjacency
-    // order, exactly as the serial single-pass build produces it.
-    const std::size_t grain =
-        (rels.size() + static_cast<std::size_t>(policy_.threads) - 1) /
-        static_cast<std::size_t>(policy_.threads);
-    std::vector<Adjacency> parts((rels.size() + grain - 1) / grain);
-    exec::WorkerPool::Global().ParallelFor(
-        policy_.threads, rels.size(), grain,
-        [&build_range, &parts, grain](std::size_t begin, std::size_t end) {
-          build_range(begin, end, &parts[begin / grain]);
-        });
-    std::size_t keys = 0;
-    for (const Adjacency& part : parts) keys += part.size();
-    partners_of.reserve(keys);
-    for (Adjacency& part : parts) {
-      for (auto& [key, vals] : part) {
-        auto& dst = partners_of[key];
-        if (dst.empty()) {
-          dst = std::move(vals);
-        } else {
-          dst.insert(dst.end(), vals.begin(), vals.end());
+  const bool drive_left = hash ? !build_left : build_left;
+  const QueryRelation& drive = drive_left ? a : b;
+  const QueryRelation& probed = drive_left ? b : a;
+  const int drive_attr = drive_left ? ia : ib;
+  const int drive_role = drive_left ? options.left_role
+                                    : 1 - options.left_role;
+  const TupleIndex index(probed, drive_left ? ib : ia);
+  // The driving side is morsel-partitioned; the database and the index
+  // are only read.
+  PartitionedEmit(
+      policy_, drive.size(), &out.tuples,
+      [this, &drive, &probed, &index, assoc, drive_attr, drive_role,
+       drive_left](std::size_t begin, std::size_t end, Tuples* sink) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const auto& td = drive.tuples[t];
+          db_->ForEachRelationshipEnd(
+              td[drive_attr], assoc, drive_role,
+              [&](const core::RelationshipEnd& e) {
+                for (const TupleIndex::Entry& m : index.Find(e.other)) {
+                  const auto& tp = probed.tuples[m.row];
+                  const auto& left = drive_left ? td : tp;
+                  const auto& right = drive_left ? tp : td;
+                  std::vector<ObjectId> tuple;
+                  tuple.reserve(left.size() + right.size());
+                  tuple.insert(tuple.end(), left.begin(), left.end());
+                  tuple.insert(tuple.end(), right.begin(), right.end());
+                  sink->push_back(std::move(tuple));
+                }
+              });
         }
-      }
-    }
-  } else {
-    build_range(0, rels.size(), &partners_of);
-  }
-  if (build_left) {
-    TupleIndex left_index = HashTuples(a, ia);
-    PartitionedEmit(policy_, b.size(), &out.tuples,
-                    [&b, &partners_of, &left_index, &concat, ib](
-                        std::size_t begin, std::size_t end, Tuples* sink) {
-                      for (std::size_t t = begin; t < end; ++t) {
-                        const auto& tb = b.tuples[t];
-                        auto partners = partners_of.find(tb[ib]);
-                        if (partners == partners_of.end()) continue;
-                        for (ObjectId partner : partners->second) {
-                          auto matches = left_index.find(partner);
-                          if (matches == left_index.end()) continue;
-                          for (const auto* ta : matches->second) {
-                            sink->push_back(concat(*ta, tb));
-                          }
-                        }
-                      }
-                    });
-  } else {
-    TupleIndex right_index = HashTuples(b, ib);
-    PartitionedEmit(policy_, a.size(), &out.tuples,
-                    [&a, &partners_of, &right_index, &concat, ia](
-                        std::size_t begin, std::size_t end, Tuples* sink) {
-                      for (std::size_t t = begin; t < end; ++t) {
-                        const auto& ta = a.tuples[t];
-                        auto partners = partners_of.find(ta[ia]);
-                        if (partners == partners_of.end()) continue;
-                        for (ObjectId partner : partners->second) {
-                          auto matches = right_index.find(partner);
-                          if (matches == right_index.end()) continue;
-                          for (const auto* tb : matches->second) {
-                            sink->push_back(concat(ta, *tb));
-                          }
-                        }
-                      }
-                    });
-  }
+      });
   Dedup(&out);
   return out;
 }
@@ -428,7 +349,7 @@ Result<QueryRelation> Algebra::TupleJoin(const QueryRelation& a,
   const QueryRelation& probe = build_left ? b : a;
   const int build_attr = build_left ? ia : ib;
   const int probe_attr = build_left ? ib : ia;
-  TupleIndex built = HashTuples(build, build_attr);
+  const TupleIndex built(build, build_attr);
   auto concat = [&](const std::vector<ObjectId>& ta,
                     const std::vector<ObjectId>& tb) {
     std::vector<ObjectId> tuple = ta;
@@ -440,15 +361,15 @@ Result<QueryRelation> Algebra::TupleJoin(const QueryRelation& a,
   };
   // The probe side is morsel-partitioned; `built` is read-only here.
   PartitionedEmit(policy_, probe.size(), &out.tuples,
-                  [&probe, &built, &concat, probe_attr, build_left](
+                  [&probe, &build, &built, &concat, probe_attr, build_left](
                       std::size_t begin, std::size_t end, Tuples* sink) {
                     for (std::size_t t = begin; t < end; ++t) {
                       const auto& tp = probe.tuples[t];
-                      auto matches = built.find(tp[probe_attr]);
-                      if (matches == built.end()) continue;
-                      for (const auto* tb : matches->second) {
-                        sink->push_back(build_left ? concat(*tb, tp)
-                                                   : concat(tp, *tb));
+                      for (const TupleIndex::Entry& m :
+                           built.Find(tp[probe_attr])) {
+                        const auto& tb = build.tuples[m.row];
+                        sink->push_back(build_left ? concat(tb, tp)
+                                                   : concat(tp, tb));
                       }
                     }
                   });

@@ -82,19 +82,23 @@ class Algebra {
   /// Planner::PlanJoin from the extent statistics. Every variant computes
   /// the same relation; only the work differs.
   struct JoinOptions {
+    /// Both methods walk the database's maintained per-object adjacency
+    /// from each streamed tuple and look the partner up in an index over
+    /// the other input (docs/execution.md, "Access paths"); the
+    /// association extent is never materialized. They differ in which
+    /// side streams, and the planner costs them apart.
     enum class Method {
-      /// Materialize the association's adjacency once, hash one input,
-      /// stream the other.
+      /// Index `build_side`, stream the other input.
       kHash,
-      /// Drive from one input and probe db->RelationshipsOf(id) per
-      /// tuple — never touches the full association extent. Wins when
-      /// the driving side is small and the association is large.
+      /// Drive the per-tuple adjacency probes from `build_side`, index
+      /// the other input. Wins when the driving side is small and the
+      /// association is large.
       kIndexNestedLoop,
     };
     enum class Side { kLeft, kRight };
 
     Method method = Method::kHash;
-    /// kHash: the side whose tuples are hash-indexed (the other streams).
+    /// kHash: the side whose tuples are indexed (the other streams).
     /// kIndexNestedLoop: the side that drives the per-tuple probes.
     Side build_side = Side::kRight;
     /// Role the left relation's join attribute binds: 0 (the historical
@@ -128,7 +132,7 @@ class Algebra {
   /// independently computed chain segments that overlap in one binder
   /// merge on that binder's column — pure tuple matching, no
   /// relationship traversal and never a cartesian product. All other
-  /// attributes must be disjoint. The smaller input is hash-indexed.
+  /// attributes must be disjoint. The smaller input is indexed.
   Result<QueryRelation> TupleJoin(const QueryRelation& a,
                                   const QueryRelation& b,
                                   std::string_view shared) const;

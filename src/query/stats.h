@@ -104,6 +104,12 @@ struct CostModel {
   // side is small relative to its participation — a selective Select
   // feeding a join against a huge extent — and the hash join wins when
   // both inputs are of the association's own scale.
+  //
+  // Execution no longer materializes the association: both methods
+  // stream one side through the database's maintained adjacency
+  // (docs/execution.md, "Access paths") and differ only in which side
+  // streams. The terms above are kept as they are so plan choices,
+  // EXPLAIN output and rows visited stay pinned.
 
   /// Probing the tuple hash with one streamed tuple.
   static constexpr double kHashTupleCost = 0.25;

@@ -1,5 +1,7 @@
 #include "schema/schema.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/strings.h"
 
@@ -189,23 +191,17 @@ const std::vector<AssociationId>& Schema::SpecializationsOf(
                                                   : it->second;
 }
 
-std::vector<AssociationId> Schema::AssociationFamily(
+const std::vector<AssociationId>& Schema::AssociationFamily(
     AssociationId assoc) const {
-  std::vector<AssociationId> out{assoc};
-  for (size_t i = 0; i < out.size(); ++i) {
-    const auto& kids = SpecializationsOf(out[i]);
-    out.insert(out.end(), kids.begin(), kids.end());
+  if (!assoc.valid() || assoc.raw() > association_families_.size()) {
+    return kNoAssociations;
   }
-  return out;
+  return association_families_[assoc.raw() - 1];
 }
 
-std::vector<ClassId> Schema::ClassFamily(ClassId cls) const {
-  std::vector<ClassId> out{cls};
-  for (size_t i = 0; i < out.size(); ++i) {
-    const auto& kids = SpecializationsOf(out[i]);
-    out.insert(out.end(), kids.begin(), kids.end());
-  }
-  return out;
+const std::vector<ClassId>& Schema::ClassFamily(ClassId cls) const {
+  if (!cls.valid() || cls.raw() > class_families_.size()) return kNoClasses;
+  return class_families_[cls.raw() - 1];
 }
 
 bool Schema::OnSameGeneralizationPath(ClassId a, ClassId b) const {
@@ -216,12 +212,38 @@ bool Schema::OnSameGeneralizationPath(AssociationId a, AssociationId b) const {
   return IsSameOrSpecializationOf(a, b) || IsSameOrSpecializationOf(b, a);
 }
 
+namespace {
+
+/// `root` plus all (transitive) specializations, breadth-first. Runs
+/// before validation, so a generalization cycle must not loop forever:
+/// ids already collected are skipped.
+template <typename Id>
+std::vector<Id> CollectFamily(
+    Id root,
+    const std::unordered_map<std::uint64_t, std::vector<Id>>& children) {
+  std::vector<Id> out{root};
+  for (size_t i = 0; i < out.size(); ++i) {
+    auto it = children.find(out[i].raw());
+    if (it == children.end()) continue;
+    for (Id kid : it->second) {
+      if (std::find(out.begin(), out.end(), kid) == out.end()) {
+        out.push_back(kid);
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void Schema::BuildIndexes() {
   independent_by_name_.clear();
   association_by_name_.clear();
   dependents_.clear();
   class_specializations_.clear();
   association_specializations_.clear();
+  class_families_.clear();
+  association_families_.clear();
 
   for (const ObjectClass& c : classes_) {
     if (!c.is_dependent()) independent_by_name_[c.name] = c.id;
@@ -237,6 +259,13 @@ void Schema::BuildIndexes() {
     if (a.is_specialized()) {
       association_specializations_[a.generalizes_into.raw()].push_back(a.id);
     }
+  }
+  for (const ObjectClass& c : classes_) {
+    class_families_.push_back(CollectFamily(c.id, class_specializations_));
+  }
+  for (const Association& a : associations_) {
+    association_families_.push_back(
+        CollectFamily(a.id, association_specializations_));
   }
   // Full names: independent classes are their own roots; dependent classes
   // prefix their owner's full name; association-owned classes prefix the

@@ -82,10 +82,13 @@ class Schema {
   const std::vector<AssociationId>& SpecializationsOf(
       AssociationId assoc) const;
 
-  /// `assoc` plus all (transitive) specializations.
-  std::vector<AssociationId> AssociationFamily(AssociationId assoc) const;
-  /// `cls` plus all (transitive) specializations.
-  std::vector<ClassId> ClassFamily(ClassId cls) const;
+  /// `assoc` plus all (transitive) specializations, breadth-first.
+  /// Computed once when the schema is built; empty for unknown ids.
+  const std::vector<AssociationId>& AssociationFamily(
+      AssociationId assoc) const;
+  /// `cls` plus all (transitive) specializations, breadth-first.
+  /// Computed once when the schema is built; empty for unknown ids.
+  const std::vector<ClassId>& ClassFamily(ClassId cls) const;
 
   /// True iff one of `a`, `b` is an ancestor of the other (or equal) in the
   /// generalization hierarchy — the legality condition for re-classification.
@@ -98,7 +101,8 @@ class Schema {
 
   Schema() = default;
 
-  /// Computes full names, owner->dependents and specialization indexes.
+  /// Computes full names, owner->dependents, specialization indexes and
+  /// generalization families.
   void BuildIndexes();
 
   std::string name_;
@@ -115,6 +119,9 @@ class Schema {
       class_specializations_;
   std::unordered_map<std::uint64_t, std::vector<AssociationId>>
       association_specializations_;
+  /// Families by dense id: class_families_[raw - 1] is ClassFamily(raw).
+  std::vector<std::vector<ClassId>> class_families_;
+  std::vector<std::vector<AssociationId>> association_families_;
 
   static std::uint64_t OwnerKey(const StructuralOwner& owner) {
     return (static_cast<std::uint64_t>(owner.kind) << 56) | owner.id_raw;
