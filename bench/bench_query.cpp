@@ -32,6 +32,7 @@ namespace {
 using seed::core::Database;
 using seed::ObjectId;
 using seed::query::Algebra;
+using seed::query::JoinShape;
 using seed::query::Planner;
 using seed::query::Predicate;
 
@@ -159,8 +160,10 @@ void CheckPathsAgree(Database* db, seed::ClassId reading,
   Algebra algebra(db);
   auto extent = algebra.ClassExtent(reading, "r");
   auto scanned = *algebra.Select(extent, "r", p);
-  auto planned = *planner.SelectFromClass(reading, "r", p);
-  if (scanned.tuples != planned.tuples) {
+  std::vector<ObjectId> scanned_ids;
+  for (const auto& tuple : scanned.tuples) scanned_ids.push_back(tuple[0]);
+  std::vector<ObjectId> planned = planner.SelectIds(reading, p);
+  if (scanned_ids != planned) {
     fprintf(stderr, "index/scan result mismatch: %zu vs %zu tuples\n",
             scanned.size(), planned.size());
     abort();
@@ -172,7 +175,7 @@ void BM_Query_SelectEqualityScan(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::ValueEquals(seed::core::Value::Int(137));
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -186,7 +189,7 @@ void BM_Query_SelectEqualityIndexed(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::ValueEquals(seed::core::Value::Int(137));
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -198,7 +201,7 @@ void BM_Query_SelectRangeScan(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::IntGreater(990);  // ~1% of defined values
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -211,7 +214,7 @@ void BM_Query_SelectRangeIndexed(benchmark::State& state) {
   Planner planner(world.db.get());
   auto pred = Predicate::IntGreater(990);
   for (auto _ : state) {
-    auto r = planner.SelectFromClass(world.reading, "r", pred);
+    auto r = planner.SelectIds(world.reading, pred);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -488,18 +491,19 @@ void BM_Query_JoinSmallDriverPlanned(benchmark::State& state) {
       Planner::JoinPlan::Strategy::kIndexNestedLoopLeft) {
     abort();
   }
+  std::vector<QueryRelation> inputs{world.small_src, world.all_dst};
+  std::vector<Planner::PipelineHop> hops{
+      {world.flows, 0, world.src_cls, world.dst_cls}};
   // Identity with the materializing path, once per setup.
   {
-    auto planned = *planner.Join(world.small_src, "s", world.flows,
-                                 world.all_dst, "d");
+    auto planned = *planner.JoinPipeline(inputs, hops);
     auto materialized = *algebra.RelationshipJoin(
         world.small_src, "s", world.flows, world.all_dst, "d",
         MaterializeOptions(0));
     if (planned.tuples != materialized.tuples) abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.small_src, "s", world.flows, world.all_dst,
-                          "d");
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -531,17 +535,18 @@ void BM_Query_JoinReversePlanned(benchmark::State& state) {
       Planner::JoinPlan::Strategy::kIndexNestedLoopLeft) {
     abort();
   }
+  std::vector<QueryRelation> inputs{world.small_dst, world.all_src};
+  std::vector<Planner::PipelineHop> hops{
+      {world.flows, 1, world.dst_cls, world.src_cls}};
   {
-    auto planned = *planner.Join(world.small_dst, "d", world.flows,
-                                 world.all_src, "s", 1);
+    auto planned = *planner.JoinPipeline(inputs, hops);
     auto materialized = *algebra.RelationshipJoin(
         world.small_dst, "d", world.flows, world.all_src, "s",
         MaterializeOptions(1));
     if (planned.tuples != materialized.tuples) abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.small_dst, "d", world.flows, world.all_src,
-                          "s", 1);
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -554,17 +559,20 @@ BENCHMARK(BM_Query_JoinReversePlanned)->Arg(10000)->Arg(100000);
 void BM_Query_JoinLargeInputsPlanned(benchmark::State& state) {
   auto world = BuildJoinBench(static_cast<int>(state.range(0)), 2);
   Planner planner(world.db.get());
-  Planner::JoinPlan plan;
-  auto r0 = planner.Join(world.all_src, "s", world.flows, world.all_dst,
-                         "d", 0, &plan);
+  std::vector<QueryRelation> inputs{world.all_src, world.all_dst};
+  std::vector<Planner::PipelineHop> hops{
+      {world.flows, 0, world.src_cls, world.dst_cls}};
+  Planner::PhysicalPlan plan;
+  auto r0 = planner.JoinPipeline(inputs, hops, {}, &plan);
   if (!r0.ok() ||
-      (plan.strategy != Planner::JoinPlan::Strategy::kHashBuildRight &&
-       plan.strategy != Planner::JoinPlan::Strategy::kHashBuildLeft)) {
+      (plan.root->join.strategy !=
+           Planner::JoinPlan::Strategy::kHashBuildRight &&
+       plan.root->join.strategy !=
+           Planner::JoinPlan::Strategy::kHashBuildLeft)) {
     abort();
   }
   for (auto _ : state) {
-    auto r = planner.Join(world.all_src, "s", world.flows, world.all_dst,
-                          "d");
+    auto r = planner.JoinPipeline(inputs, hops);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -654,12 +662,13 @@ std::vector<std::vector<ObjectId>> NaivePipeline(const PipelineWorld& w) {
 void BM_Query_PipelineTextualOrder(benchmark::State& state) {
   auto world = BuildPipeline(static_cast<int>(state.range(0)));
   Planner planner(world.db.get());
+  const auto textual = JoinShape::LeftDeep({0, 1});
   {
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops, {0, 1});
+    auto r = planner.JoinPipeline(world.inputs, world.hops, textual);
     if (!r.ok() || r->tuples != NaivePipeline(world)) abort();
   }
   for (auto _ : state) {
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops, {0, 1});
+    auto r = planner.JoinPipeline(world.inputs, world.hops, textual);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -706,13 +715,13 @@ using seed::bench::BuildSkewedChain;
 void BM_Query_LongChainTextualOrder(benchmark::State& state) {
   auto world = BuildSkewedChain(static_cast<int>(state.range(0)));
   Planner planner(world.db.get());
-  std::vector<int> textual{0, 1, 2, 3, 4};
+  const auto textual = JoinShape::LeftDeep({0, 1, 2, 3, 4});
   Planner::PhysicalPlan plan;
   auto reference =
-      planner.JoinPipelineInOrder(world.inputs, world.hops, textual, &plan);
+      planner.JoinPipeline(world.inputs, world.hops, textual, &plan);
   if (!reference.ok()) abort();
   for (auto _ : state) {
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops, textual);
+    auto r = planner.JoinPipeline(world.inputs, world.hops, textual);
     benchmark::DoNotOptimize(r);
   }
   state.counters["rows_visited"] =
@@ -726,26 +735,25 @@ BENCHMARK(BM_Query_LongChainTextualOrder)->Arg(10000)->Arg(100000);
 void BM_Query_LongChainExhaustiveLeftDeep(benchmark::State& state) {
   auto world = BuildSkewedChain(static_cast<int>(state.range(0)));
   Planner planner(world.db.get());
-  auto reference = planner.JoinPipelineInOrder(world.inputs, world.hops,
-                                               {0, 1, 2, 3, 4});
+  auto reference = planner.JoinPipeline(
+      world.inputs, world.hops, JoinShape::LeftDeep({0, 1, 2, 3, 4}));
   if (!reference.ok()) abort();
-  std::vector<int> best_order;
+  JoinShape best;
   double best_cost = 0.0;
   Planner::PhysicalPlan best_plan;
   for (const auto& order : Planner::LeftDeepOrders(world.hops.size())) {
     Planner::PhysicalPlan plan;
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops, order,
-                                         &plan);
+    auto shape = JoinShape::LeftDeep(order);
+    auto r = planner.JoinPipeline(world.inputs, world.hops, shape, &plan);
     if (!r.ok() || r->tuples != reference->tuples) abort();
-    if (best_order.empty() || plan.est_cost < best_cost) {
-      best_order = order;
+    if (!best.order.has_value() || plan.est_cost < best_cost) {
+      best = std::move(shape);
       best_cost = plan.est_cost;
       best_plan = std::move(plan);
     }
   }
   for (auto _ : state) {
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops,
-                                         best_order);
+    auto r = planner.JoinPipeline(world.inputs, world.hops, best);
     benchmark::DoNotOptimize(r);
   }
   state.counters["rows_visited"] =
@@ -759,10 +767,10 @@ BENCHMARK(BM_Query_LongChainExhaustiveLeftDeep)->Arg(10000)->Arg(100000);
 void BM_Query_LongChainDP(benchmark::State& state) {
   auto world = BuildSkewedChain(static_cast<int>(state.range(0)));
   Planner planner(world.db.get());
-  auto reference = planner.JoinPipelineInOrder(world.inputs, world.hops,
-                                               {0, 1, 2, 3, 4});
+  auto reference = planner.JoinPipeline(
+      world.inputs, world.hops, JoinShape::LeftDeep({0, 1, 2, 3, 4}));
   Planner::PhysicalPlan plan;
-  auto r0 = planner.JoinPipeline(world.inputs, world.hops, &plan);
+  auto r0 = planner.JoinPipeline(world.inputs, world.hops, {}, &plan);
   if (!reference.ok() || !r0.ok() || r0->tuples != reference->tuples) {
     abort();
   }

@@ -20,6 +20,7 @@
 namespace {
 
 using seed::bench::BuildSkewedChain;
+using seed::query::JoinShape;
 using seed::query::Planner;
 
 /// The registry's rows-visited counter — the same figure the trajectory
@@ -39,7 +40,7 @@ int main() {
 
   Planner::PhysicalPlan dp_plan;
   std::uint64_t rows_before = RowsVisitedCounter();
-  auto dp = planner.JoinPipeline(world.inputs, world.hops, &dp_plan);
+  auto dp = planner.JoinPipeline(world.inputs, world.hops, {}, &dp_plan);
   if (!dp.ok()) {
     std::fprintf(stderr, "DP pipeline failed: %s\n",
                  dp.status().ToString().c_str());
@@ -64,8 +65,8 @@ int main() {
   std::string best_order;
   for (const auto& order : Planner::LeftDeepOrders(world.hops.size())) {
     Planner::PhysicalPlan plan;
-    auto r = planner.JoinPipelineInOrder(world.inputs, world.hops, order,
-                                         &plan);
+    auto r = planner.JoinPipeline(world.inputs, world.hops,
+                                  JoinShape::LeftDeep(order), &plan);
     if (!r.ok()) {
       std::fprintf(stderr, "ordering failed: %s\n",
                    r.status().ToString().c_str());

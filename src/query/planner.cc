@@ -179,19 +179,6 @@ void AppendShapeKey(const PredicateShape* shape, std::string* out) {
   *out += "?";
 }
 
-/// One adaptive mid-chain re-plan (divergent intermediate re-entered
-/// the join DP).
-void CountAdaptiveReplan() {
-  static obs::Counter* replans = obs::MetricsRegistry::Global().GetCounter(
-      "planner.adaptive.replans.total");
-  replans->Increment();
-}
-
-/// An intermediate this far off its estimate (either direction,
-/// +1-smoothed) abandons the running tree and re-enters the DP for the
-/// remaining segments.
-constexpr double kAdaptiveDivergence = 8.0;
-
 /// Participation skew past this multiple of the mean degree inflates
 /// the index-nested-loop degree estimate.
 constexpr double kDegreeSkewThreshold = 8.0;
@@ -553,24 +540,6 @@ std::vector<ObjectId> Planner::SelectIds(ClassId cls, const Predicate& p,
       [&](ObjectId id) { return p.Eval(*db_, id); });
 }
 
-Result<QueryRelation> Planner::SelectFromClass(
-    ClassId cls, std::string attribute, const Predicate& p,
-    bool include_specializations) const {
-  Plan plan = PlanSelect(cls, p, include_specializations);
-  if (!plan.uses_index()) {
-    QueryRelation extent =
-        algebra_.ClassExtent(cls, attribute, include_specializations);
-    return algebra_.Select(extent, attribute, p);
-  }
-  QueryRelation out;
-  out.attributes = {std::move(attribute)};
-  for (ObjectId id :
-       ExecuteIndexPlan(plan, cls, p, include_specializations)) {
-    out.tuples.push_back({id});
-  }
-  return out;
-}
-
 // --- Relationship joins ------------------------------------------------------
 
 Algebra::JoinOptions Planner::JoinPlan::options() const {
@@ -616,18 +585,9 @@ std::string Planner::JoinPlan::ToString() const {
   return s;
 }
 
-Planner::JoinPlan Planner::PlanJoin(AssociationId assoc, size_t left_rows,
-                                    size_t right_rows, int left_role,
+Planner::JoinPlan Planner::PlanJoin(AssociationId assoc, double left_rows,
+                                    double right_rows, int left_role,
                                     ClassId left_cls, ClassId right_cls) const {
-  return PlanJoinEst(assoc, static_cast<double>(left_rows),
-                     static_cast<double>(right_rows), left_role, left_cls,
-                     right_cls);
-}
-
-Planner::JoinPlan Planner::PlanJoinEst(AssociationId assoc, double left_rows,
-                                       double right_rows, int left_role,
-                                       ClassId left_cls,
-                                       ClassId right_cls) const {
   const schema::Schema& schema = *db_->schema();
   const core::ExtentCounters& counters = db_->extent_counters();
   JoinPlan plan;
@@ -697,23 +657,6 @@ Planner::JoinPlan Planner::PlanJoinEst(AssociationId assoc, double left_rows,
     }
   }
   return plan;
-}
-
-Result<QueryRelation> Planner::Join(const QueryRelation& a,
-                                    std::string_view attr_a,
-                                    AssociationId assoc,
-                                    const QueryRelation& b,
-                                    std::string_view attr_b, int left_role,
-                                    JoinPlan* plan_out, ClassId left_cls,
-                                    ClassId right_cls) const {
-  if (left_role != 0 && left_role != 1) {
-    return Status::InvalidArgument("join role must be 0 or 1");
-  }
-  JoinPlan plan =
-      PlanJoin(assoc, a.size(), b.size(), left_role, left_cls, right_cls);
-  if (plan_out != nullptr) *plan_out = plan;
-  return algebra_.RelationshipJoin(a, attr_a, assoc, b, attr_b,
-                                   plan.options());
 }
 
 // --- Plan trees --------------------------------------------------------------
@@ -845,12 +788,9 @@ std::string Planner::PhysicalPlan::ToAnalyzeString(bool mask_times) const {
     if (!s.empty()) s += "; ";
     s += root->ToAnalyzeString(binders, mask_times);
   }
-  // Cache/adaptive markers only when they fired, so fresh by-the-plan
-  // executions render exactly as before.
+  // Only a cache hit adds a marker, so a fresh execution renders the
+  // same body as its golden.
   if (from_cache) s += "; plan-cache: hit";
-  if (adaptive_replans > 0) {
-    s += "; adaptive-replans: " + std::to_string(adaptive_replans);
-  }
   return s;
 }
 
@@ -875,8 +815,8 @@ std::unique_ptr<Planner::Node> Planner::MakeHopJoin(
   node->hop = hop;
   // The lower binder segment is always the join's left input, binding
   // the hop's left role — execution replays exactly this orientation.
-  node->join = PlanJoinEst(h.assoc, left->est_rows, right->est_rows,
-                           h.left_role, h.left_cls, h.right_cls);
+  node->join = PlanJoin(h.assoc, left->est_rows, right->est_rows,
+                        h.left_role, h.left_cls, h.right_cls);
   node->est_rows = node->join.est_rows;
   node->est_cost = left->est_cost + right->est_cost + node->join.est_cost;
   node->left = std::move(left);
@@ -926,10 +866,9 @@ struct Planner::DpEntry {
 
 std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
     const std::vector<PipelineHop>& hops,
-    const std::vector<double>& input_rows, bool allow_tuple_joins) const {
+    const std::vector<double>& input_rows) const {
   // 63 hops bounds the bitset key (and is far beyond any real chain);
-  // ValidatePipelineInputs enforces the same ceiling on the executing
-  // entry points.
+  // ValidatePipelineInputs enforces the same ceiling on JoinPipeline.
   const int n = static_cast<int>(hops.size());
   if (n == 0 || n > 63 || input_rows.size() != hops.size() + 1) {
     return nullptr;
@@ -963,8 +902,8 @@ std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
       for (int m = hi - 1; m >= lo; --m) {
         const PipelineHop& hop = hops[m];
         JoinPlan jp =
-            PlanJoinEst(hop.assoc, seg_rows(lo, m), seg_rows(m + 1, hi),
-                        hop.left_role, hop.left_cls, hop.right_cls);
+            PlanJoin(hop.assoc, seg_rows(lo, m), seg_rows(m + 1, hi),
+                     hop.left_role, hop.left_cls, hop.right_cls);
         double cost = seg_cost(lo, m) + seg_cost(m + 1, hi) + jp.est_cost;
         if (!have) {
           // One plan-independent cardinality per subchain, Selinger
@@ -985,9 +924,7 @@ std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
       // Bushy tuple joins: overlapping segments [lo, m] and [m, hi]
       // merged on the shared binder m — each side executes its own hops
       // independently, so neither drags the other's intermediate.
-      // Disabled for adaptive re-planning, where the inputs can be
-      // multi-column segments.
-      for (int m = allow_tuple_joins ? hi - 1 : lo; m > lo; --m) {
+      for (int m = hi - 1; m > lo; --m) {
         double l_rows = seg_rows(lo, m);
         double r_rows = seg_rows(m, hi);
         double rows = CostModel::TupleJoinRows(l_rows, r_rows, input_rows[m]);
@@ -1029,7 +966,7 @@ std::unique_ptr<Planner::Node> Planner::OptimizeJoinTree(
   return build(build, 0, n);
 }
 
-// --- Explicit shapes (tests and benches) -------------------------------------
+// --- Join tree shapes --------------------------------------------------------
 
 std::vector<std::vector<int>> Planner::LeftDeepOrders(size_t num_hops) {
   std::vector<std::vector<int>> orders;
@@ -1062,17 +999,34 @@ std::vector<std::vector<int>> Planner::LeftDeepOrders(size_t num_hops) {
   return orders;
 }
 
-Result<std::unique_ptr<Planner::Node>> Planner::TreeForOrder(
+Result<std::unique_ptr<Planner::Node>> Planner::BuildJoinTree(
     const std::vector<PipelineHop>& hops,
-    const std::vector<double>& input_rows,
-    const std::vector<int>& order) const {
-  if (hops.empty()) {
-    return Status::InvalidArgument("join pipeline needs at least one hop");
-  }
-  if (input_rows.size() != hops.size() + 1) {
+    const std::vector<double>& input_rows, const JoinShape& shape) const {
+  const int n = static_cast<int>(hops.size());
+  if (shape.order.has_value() && shape.split.has_value()) {
     return Status::InvalidArgument(
-        "join pipeline wants one input per binder (hops + 1)");
+        "join shape names both a hop order and a split");
   }
+  if (shape.split.has_value()) {
+    const int m = *shape.split;
+    if (shape.tuple_join) {
+      if (m <= 0 || m >= n) {
+        return Status::InvalidArgument(
+            "tuple-join split must leave at least one hop on each side");
+      }
+      return MakeTupleJoin(m, input_rows[m],
+                           LeftDeepTree(hops, input_rows, 0, m),
+                           LeftDeepTree(hops, input_rows, m, n));
+    }
+    if (m < 0 || m >= n) {
+      return Status::InvalidArgument("hop split out of range");
+    }
+    return MakeHopJoin(hops, m, LeftDeepTree(hops, input_rows, 0, m),
+                       LeftDeepTree(hops, input_rows, m + 1, n));
+  }
+  if (!shape.order.has_value()) return OptimizeJoinTree(hops, input_rows);
+
+  const std::vector<int>& order = *shape.order;
   if (order.size() != hops.size()) {
     return Status::InvalidArgument(
         "hop order must name every hop exactly once");
@@ -1081,7 +1035,7 @@ Result<std::unique_ptr<Planner::Node>> Planner::TreeForOrder(
   std::unique_ptr<Node> cur;
   int lo = 0, hi = -1;
   for (int h : order) {
-    if (h < 0 || h >= static_cast<int>(hops.size())) {
+    if (h < 0 || h >= n) {
       return Status::InvalidArgument("hop index out of range");
     }
     if (hi < lo) {
@@ -1124,6 +1078,11 @@ Status Planner::ValidatePipelineInputs(
     if (in.arity() != 1) {
       return Status::InvalidArgument(
           "join pipeline inputs must be unary binder relations");
+    }
+  }
+  for (const PipelineHop& hop : hops) {
+    if (hop.left_role != 0 && hop.left_role != 1) {
+      return Status::InvalidArgument("join role must be 0 or 1");
     }
   }
   return Status::OK();
@@ -1244,213 +1203,6 @@ obs::Counter& RowsVisitedCounter() {
 }
 }  // namespace
 
-Result<QueryRelation> Planner::ExecuteTree(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
-  if (plan.root == nullptr) {
-    return Status::Internal("join pipeline plan has no tree");
-  }
-  SEED_ASSIGN_OR_RETURN(QueryRelation joined,
-                        ExecuteNode(plan.root.get(), inputs, hops, ctx));
-
-  RowsVisitedCounter().Increment(
-      static_cast<std::uint64_t>(plan.RowsVisited()));
-
-  // Back to the textual binder-column order (execution accumulated the
-  // columns in tree order; a complete tree joins every binder).
-  std::vector<std::string> binders;
-  for (const QueryRelation& in : inputs) {
-    binders.push_back(in.attributes[0]);
-  }
-  auto out = algebra_.Project(joined, binders);
-  if (!out.ok()) return out.status();
-  if (plan_out != nullptr) *plan_out = std::move(plan);
-  return out;
-}
-
-Result<QueryRelation> Planner::ExecuteChainAdaptive(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
-  if (plan.root == nullptr) {
-    return Status::Internal("join pipeline plan has no tree");
-  }
-  // Tuple joins merge *overlapping* segments, which the adjacent-segment
-  // stepwise walk below cannot express — those trees execute as planned.
-  {
-    bool has_tuple = false;
-    auto walk = [&has_tuple](auto&& self, const Node* node) -> void {
-      if (node == nullptr) return;
-      if (node->kind == Node::Kind::kTupleJoin) has_tuple = true;
-      self(self, node->left.get());
-      self(self, node->right.get());
-    };
-    walk(walk, plan.root.get());
-    if (has_tuple) {
-      return ExecuteTree(inputs, hops, std::move(plan), plan_out, ctx);
-    }
-  }
-  const bool timed = ctx != nullptr && ctx->time_nodes;
-
-  // One contiguous, already-executed binder segment [lo, hi]. Leaves
-  // read their materialized input in place; composites own their rows.
-  struct Seg {
-    int lo = 0, hi = 0;
-    int leaf_binder = -1;
-    QueryRelation owned;
-    std::unique_ptr<Node> node;  // executed subtree; null for unread leaf
-  };
-  std::vector<Seg> segs(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    segs[i].lo = segs[i].hi = static_cast<int>(i);
-    segs[i].leaf_binder = static_cast<int>(i);
-  }
-  auto rel_of = [&inputs](const Seg& s) -> const QueryRelation& {
-    return s.leaf_binder >= 0 ? inputs[s.leaf_binder] : s.owned;
-  };
-
-  // What the current tree decides for each pending hop, and the order it
-  // executes them in (its post order): re-merging adjacent segments in
-  // post order reproduces the tree's shape exactly, so absent any
-  // re-plan the stitched tree, join strategies, estimates and actuals
-  // are byte-identical to ExecuteTree's.
-  struct HopDecision {
-    JoinPlan join;
-    double est_rows = 0.0;
-    double est_cost = 0.0;
-  };
-  std::unordered_map<int, HopDecision> decisions;
-  std::vector<int> exec_order;
-  auto adopt = [&decisions, &exec_order](const Node* root,
-                                         const std::vector<int>& real_of) {
-    exec_order.clear();
-    decisions.clear();
-    auto walk = [&](auto&& self, const Node* node) -> void {
-      if (node == nullptr) return;
-      self(self, node->left.get());
-      self(self, node->right.get());
-      if (node->kind != Node::Kind::kHopJoin) return;
-      const int real = real_of.empty() ? node->hop : real_of[node->hop];
-      exec_order.push_back(real);
-      decisions[real] =
-          HopDecision{node->join, node->est_rows, node->est_cost};
-    };
-    walk(walk, root);
-  };
-  adopt(plan.root.get(), {});
-
-  int replans = 0;
-  size_t cursor = 0;
-  while (cursor < exec_order.size()) {
-    const int m = exec_order[cursor++];
-    // Hop m joins the segment ending at binder m with the one starting
-    // at binder m + 1; post-order execution keeps them adjacent.
-    size_t li = 0;
-    while (li < segs.size() && segs[li].hi != m) ++li;
-    if (li + 1 >= segs.size() || segs[li + 1].lo != m + 1) {
-      return Status::Internal("adaptive execution lost segment adjacency");
-    }
-    Seg& left = segs[li];
-    Seg& right = segs[li + 1];
-    const HopDecision d = decisions.at(m);
-    const std::uint64_t start = timed ? obs::NowNanos() : 0;
-    auto joined = algebra_.RelationshipJoin(
-        rel_of(left), inputs[m].attributes[0], hops[m].assoc, rel_of(right),
-        inputs[m + 1].attributes[0], d.join.options());
-    if (!joined.ok()) return joined.status();
-
-    // Stitch the executed node; leaf children materialize on first use,
-    // exactly as ExecuteNode records them.
-    auto consume = [&](Seg& s) -> std::unique_ptr<Node> {
-      if (s.node != nullptr) return std::move(s.node);
-      auto leaf = MakeLeaf(s.leaf_binder,
-                           static_cast<double>(inputs[s.leaf_binder].size()));
-      leaf->actual_rows =
-          static_cast<long long>(inputs[s.leaf_binder].size());
-      if (timed) leaf->elapsed_ns = 0;  // read in place — no work to time
-      return leaf;
-    };
-    auto node = std::make_unique<Node>();
-    node->kind = Node::Kind::kHopJoin;
-    node->hop = m;
-    node->lo = left.lo;
-    node->hi = right.hi;
-    node->join = d.join;
-    node->est_rows = d.est_rows;
-    node->est_cost = d.est_cost;
-    node->left = consume(left);
-    node->right = consume(right);
-    node->actual_rows = static_cast<long long>(joined->size());
-    if (timed) {
-      // Inclusive wall-clock, matching ExecuteNode's semantics.
-      node->elapsed_ns = static_cast<long long>(obs::NowNanos() - start) +
-                         std::max<long long>(node->left->elapsed_ns, 0) +
-                         std::max<long long>(node->right->elapsed_ns, 0);
-    }
-    left.hi = right.hi;
-    left.leaf_binder = -1;
-    left.owned = *std::move(joined);
-    left.node = std::move(node);
-    segs.erase(segs.begin() + static_cast<long>(li) + 1);
-
-    // Divergence check: past the threshold (either direction, smoothed
-    // so empty-vs-tiny never divides by zero), the remaining segments
-    // re-enter the DP with their exact sizes. The remaining problem is
-    // isomorphic to a fresh chain — segments are pseudo-binders and the
-    // connecting hop between neighbors j, j+1 is the real hop at
-    // segs[j].hi — except that tuple joins are off (a pseudo-binder can
-    // be a multi-column segment).
-    const double actual = static_cast<double>(left.owned.size());
-    const bool diverged =
-        (actual + 1.0) / (d.est_rows + 1.0) > kAdaptiveDivergence ||
-        (d.est_rows + 1.0) / (actual + 1.0) > kAdaptiveDivergence;
-    if (diverged && segs.size() > 1) {
-      std::vector<PipelineHop> pseudo_hops;
-      std::vector<double> pseudo_rows;
-      std::vector<int> real_of;
-      for (size_t j = 0; j < segs.size(); ++j) {
-        pseudo_rows.push_back(static_cast<double>(rel_of(segs[j]).size()));
-        if (j + 1 < segs.size()) {
-          pseudo_hops.push_back(hops[segs[j].hi]);
-          real_of.push_back(segs[j].hi);
-        }
-      }
-      std::unique_ptr<Node> tree = OptimizeJoinTree(
-          pseudo_hops, pseudo_rows, /*allow_tuple_joins=*/false);
-      if (tree != nullptr) {
-        ++replans;
-        CountAdaptiveReplan();
-        adopt(tree.get(), real_of);
-        cursor = 0;
-      }
-    }
-  }
-  if (segs.size() != 1 || segs[0].node == nullptr) {
-    return Status::Internal("adaptive execution did not reach a single root");
-  }
-  plan.root = std::move(segs[0].node);
-  plan.adaptive_replans = replans;
-  if (replans > 0) {
-    // Report the estimates of the tree actually executed.
-    plan.est_rows = plan.root->est_rows;
-    plan.est_cost = plan.root->est_cost;
-    for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
-  }
-  QueryRelation joined = std::move(segs[0].owned);
-
-  RowsVisitedCounter().Increment(
-      static_cast<std::uint64_t>(plan.RowsVisited()));
-  std::vector<std::string> binders;
-  for (const QueryRelation& in : inputs) {
-    binders.push_back(in.attributes[0]);
-  }
-  auto out = algebra_.Project(joined, binders);
-  if (!out.ok()) return out.status();
-  if (plan_out != nullptr) *plan_out = std::move(plan);
-  return out;
-}
-
 Planner::PhysicalPlan Planner::PlanJoinPipeline(
     const std::vector<PipelineHop>& hops,
     const std::vector<size_t>& input_rows) const {
@@ -1466,76 +1218,30 @@ Planner::PhysicalPlan Planner::PlanJoinPipeline(
 
 Result<QueryRelation> Planner::JoinPipeline(
     const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, PhysicalPlan* plan_out,
-    obs::ExecContext* ctx) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
-  std::vector<size_t> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) sizes.push_back(in.size());
-  PhysicalPlan plan = PlanJoinPipeline(hops, sizes);
-  for (const QueryRelation& in : inputs) {
-    plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out, ctx);
-}
-
-Result<QueryRelation> Planner::JoinPipelineInOrder(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, const std::vector<int>& order,
-    PhysicalPlan* plan_out) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
+    const std::vector<PipelineHop>& hops, const JoinShape& shape,
+    PhysicalPlan* plan_out, obs::ExecContext* ctx) const {
+  SEED_RETURN_IF_ERROR(ValidatePipelineInputs(inputs, hops));
+  PhysicalPlan plan;
   std::vector<double> sizes;
   sizes.reserve(inputs.size());
   for (const QueryRelation& in : inputs) {
-    sizes.push_back(static_cast<double>(in.size()));
-  }
-  SEED_ASSIGN_OR_RETURN(std::unique_ptr<Node> root,
-                        TreeForOrder(hops, sizes, order));
-  PhysicalPlan plan;
-  plan.est_rows = root->est_rows;
-  plan.est_cost = root->est_cost;
-  plan.root = std::move(root);
-  for (const QueryRelation& in : inputs) {
     plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out);
-}
-
-Result<QueryRelation> Planner::JoinPipelineSplit(
-    const std::vector<QueryRelation>& inputs,
-    const std::vector<PipelineHop>& hops, int m, bool tuple_join,
-    PhysicalPlan* plan_out) const {
-  Status valid = ValidatePipelineInputs(inputs, hops);
-  if (!valid.ok()) return valid;
-  const int n = static_cast<int>(hops.size());
-  std::vector<double> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) {
     sizes.push_back(static_cast<double>(in.size()));
   }
-  PhysicalPlan plan;
-  if (tuple_join) {
-    if (m <= 0 || m >= n) {
-      return Status::InvalidArgument(
-          "tuple-join split must leave at least one hop on each side");
-    }
-    plan.root = MakeTupleJoin(m, sizes[m], LeftDeepTree(hops, sizes, 0, m),
-                              LeftDeepTree(hops, sizes, m, n));
-  } else {
-    if (m < 0 || m >= n) {
-      return Status::InvalidArgument("hop split out of range");
-    }
-    plan.root = MakeHopJoin(hops, m, LeftDeepTree(hops, sizes, 0, m),
-                            LeftDeepTree(hops, sizes, m + 1, n));
-  }
+  SEED_ASSIGN_OR_RETURN(plan.root, BuildJoinTree(hops, sizes, shape));
   plan.est_rows = plan.root->est_rows;
   plan.est_cost = plan.root->est_cost;
-  for (const QueryRelation& in : inputs) {
-    plan.binders.push_back(in.attributes[0]);
-  }
-  return ExecuteTree(inputs, hops, std::move(plan), plan_out);
+  SEED_ASSIGN_OR_RETURN(QueryRelation joined,
+                        ExecuteNode(plan.root.get(), inputs, hops, ctx));
+  RowsVisitedCounter().Increment(
+      static_cast<std::uint64_t>(plan.RowsVisited()));
+
+  // Back to the textual binder-column order (execution accumulated the
+  // columns in tree order; a complete tree joins every binder).
+  auto out = algebra_.Project(joined, plan.binders);
+  if (!out.ok()) return out.status();
+  if (plan_out != nullptr) *plan_out = std::move(plan);
+  return out;
 }
 
 // --- The unified entry point -------------------------------------------------
@@ -1865,21 +1571,14 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
   // regardless of predicate selectivity, and a join strategy chosen for
   // a 100k-row estimate is badly wrong for the 3 rows a selective
   // residual actually kept.
-  std::vector<double> sizes;
-  sizes.reserve(inputs.size());
-  for (const QueryRelation& in : inputs) {
-    sizes.push_back(static_cast<double>(in.size()));
-  }
-  plan.root = OptimizeJoinTree(LowerHops(chain), sizes);
-  plan.est_rows = plan.root->est_rows;
-  plan.est_cost = plan.root->est_cost;
+  PhysicalPlan tree;
+  SEED_ASSIGN_OR_RETURN(
+      out.tuples, JoinPipeline(inputs, LowerHops(chain), {}, &tree, ctx));
+  plan.root = std::move(tree.root);
+  plan.est_rows = tree.est_rows;
+  plan.est_cost = tree.est_cost;
   for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
-  // Stepwise adaptive execution: identical to ExecuteTree until an
-  // intermediate diverges from its estimate, at which point the rest of
-  // the chain is re-planned from exact sizes.
-  SEED_ASSIGN_OR_RETURN(out.tuples,
-                        ExecuteChainAdaptive(inputs, LowerHops(chain),
-                                             std::move(plan), plan_out, ctx));
+  if (plan_out != nullptr) *plan_out = std::move(plan);
   return out;
 }
 

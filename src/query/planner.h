@@ -38,9 +38,10 @@
 // The DP is polynomial in the chain length, which is what lifted the
 // grammar's hop cap from 3 (exhaustive left-deep enumeration) to
 // LogicalChain::kMaxHops. Ties keep the textual left-deep composition.
-// LeftDeepOrders / JoinPipelineInOrder / JoinPipelineSplit execute
-// explicit left-deep orderings and explicit bushy splits for the
-// differential tests and benches; every shape computes the same relation.
+// JoinPipeline runs the DP's tree or, given a JoinShape, an explicit
+// left-deep ordering (see LeftDeepOrders) or an explicit bushy split for
+// the differential tests and benches; every shape computes the same
+// relation.
 //
 // Every index plan runs a residual filter (full predicate re-eval + extent
 // check) over its candidates, so the rewrite is an optimization only:
@@ -56,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -68,6 +70,34 @@
 #include "query/predicate.h"
 
 namespace seed::query {
+
+/// The join tree Planner::JoinPipeline executes. Default: the DP's choice.
+/// Tests and benches comparing plans force an explicit shape instead;
+/// every shape computes the same relation.
+struct JoinShape {
+  /// An explicit left-deep hop order (see Planner::LeftDeepOrders).
+  std::optional<std::vector<int>> order;
+  /// An explicit bushy split at binder `split`: the left segment covers
+  /// binders [0, split], the right segment [split, n] merged on binder
+  /// `split`'s column when `tuple_join` (else [split+1, n] joined
+  /// through hop `split`), each segment left-deep in textual order.
+  /// Requires 0 < split < hops for a tuple join, 0 <= split < hops
+  /// otherwise.
+  std::optional<int> split;
+  bool tuple_join = false;
+
+  static JoinShape LeftDeep(std::vector<int> order) {
+    JoinShape shape;
+    shape.order = std::move(order);
+    return shape;
+  }
+  static JoinShape Split(int m, bool tuple_join) {
+    JoinShape shape;
+    shape.split = m;
+    shape.tuple_join = tuple_join;
+    return shape;
+  }
+};
 
 class Planner {
  public:
@@ -230,10 +260,6 @@ class Planner {
     /// tree is always re-derived from actual binder sizes). Surfaced by
     /// ToAnalyzeString only — the EXPLAIN golden surface is unchanged.
     bool from_cache = false;
-    /// How many times execution abandoned the running join tree and
-    /// re-entered the DP because an intermediate diverged from its
-    /// estimate (see Planner::Run). Zero for by-the-plan executions.
-    int adaptive_replans = 0;
 
     /// True when any node in the tree is a bushy join.
     bool HasBushyJoin() const;
@@ -295,9 +321,10 @@ class Planner {
 
   /// Optimizes and executes `chain`; `plan_out` (optional) receives the
   /// executed plan with per-node actual rows. After materializing the
-  /// binder selections the join tree is re-planned from their *actual*
-  /// sizes (known for free at that point), so a selective residual a
-  /// scan estimate could not see still gets the right join strategies.
+  /// binder selections, JoinPipeline re-plans the join tree from their
+  /// *actual* sizes (known for free at that point), so a selective
+  /// residual a scan estimate could not see still gets the right join
+  /// strategies.
   /// Results are identical to the brute-force reference for every chain
   /// shape and plan. `ctx` (optional) collects per-phase wall-clock and
   /// turns on per-node operator timing for EXPLAIN ANALYZE.
@@ -311,15 +338,10 @@ class Planner {
   Plan PlanSelect(ClassId cls, const Predicate& p,
                   bool include_specializations = true) const;
 
-  /// Runs Select(ClassExtent(cls, attribute), attribute, p) through the
-  /// chosen plan. Result is identical to the scan path.
-  Result<QueryRelation> SelectFromClass(
-      ClassId cls, std::string attribute, const Predicate& p,
-      bool include_specializations = true) const;
-
-  /// Same, as a plain ascending id list (what the textual query layer
-  /// returns). Pass a precomputed `plan` (e.g. from an EXPLAIN display)
-  /// to avoid planning twice.
+  /// Runs Select(ClassExtent(cls), p) through the chosen plan as a plain
+  /// ascending id list (what the textual query layer returns); identical
+  /// to the scan path. Pass a precomputed `plan` (e.g. from an EXPLAIN
+  /// display) to avoid planning twice.
   std::vector<ObjectId> SelectIds(ClassId cls, const Predicate& p,
                                   bool include_specializations = true,
                                   const Plan* plan = nullptr) const;
@@ -348,29 +370,18 @@ class Planner {
   /// relation (bound at role `left_role` of `assoc`) with a
   /// `right_rows`-tuple relation at the opposite role, using the
   /// association population, the tracked per-(association, role, class)
-  /// participation counts and the input classes' extents. `left_cls` /
+  /// participation counts and the input classes' extents. Sizes may be
+  /// fractional (the DP plans intermediates from estimates). `left_cls` /
   /// `right_cls` name the classes the inputs were drawn from; invalid ids
   /// fall back to the association's role targets (for which the
   /// participation count degenerates to the uniform assoc/extent
   /// estimate). Deterministic tie-breaks: hash-build-right,
   /// hash-build-left, inl-left, inl-right. `left_role` is read as 1 or
-  /// forward-otherwise; Join() rejects roles outside {0, 1} before
+  /// forward-otherwise; JoinPipeline rejects roles outside {0, 1} before
   /// planning.
-  JoinPlan PlanJoin(AssociationId assoc, size_t left_rows, size_t right_rows,
+  JoinPlan PlanJoin(AssociationId assoc, double left_rows, double right_rows,
                     int left_role = 0, ClassId left_cls = ClassId(),
                     ClassId right_cls = ClassId()) const;
-
-  /// Plans and runs RelationshipJoin(a, attr_a, assoc, b, attr_b) with
-  /// the chosen strategy; `plan_out` (optional) receives the plan for
-  /// EXPLAIN-style display, `left_cls` / `right_cls` (optional) the input
-  /// classes for the degree statistics, as in PlanJoin. Results are
-  /// identical to every other strategy's.
-  Result<QueryRelation> Join(const QueryRelation& a, std::string_view attr_a,
-                             AssociationId assoc, const QueryRelation& b,
-                             std::string_view attr_b, int left_role = 0,
-                             JoinPlan* plan_out = nullptr,
-                             ClassId left_cls = ClassId(),
-                             ClassId right_cls = ClassId()) const;
 
   // --- Join pipelines --------------------------------------------------------
 
@@ -391,35 +402,18 @@ class Planner {
   PhysicalPlan PlanJoinPipeline(const std::vector<PipelineHop>& hops,
                                 const std::vector<size_t>& input_rows) const;
 
-  /// Plans (via the DP) and runs the chain over the unary binder
-  /// `inputs` (one per binder, attribute names distinct); returns the
-  /// joined binder tuples in textual binder-column order, ascending.
-  /// `plan_out` receives the executed plan with per-node actual rows. An
-  /// empty intermediate short-circuits inside the physical operators.
-  /// `ctx` (optional) turns on per-node operator timing.
+  /// Runs the chain over the unary binder `inputs` (one per binder,
+  /// attribute names distinct) with the join tree `shape` asks for,
+  /// planned from the inputs' actual sizes; returns the joined binder
+  /// tuples in textual binder-column order, ascending. `plan_out`
+  /// receives the executed plan with per-node actual rows. An empty
+  /// intermediate short-circuits inside the physical operators. `ctx`
+  /// (optional) turns on per-node operator timing.
   Result<QueryRelation> JoinPipeline(const std::vector<QueryRelation>& inputs,
                                      const std::vector<PipelineHop>& hops,
+                                     const JoinShape& shape = {},
                                      PhysicalPlan* plan_out = nullptr,
                                      obs::ExecContext* ctx = nullptr) const;
-
-  /// Same, but executes an explicit left-deep hop `order` (for tests and
-  /// benches comparing orderings); the result equals every other
-  /// shape's.
-  Result<QueryRelation> JoinPipelineInOrder(
-      const std::vector<QueryRelation>& inputs,
-      const std::vector<PipelineHop>& hops, const std::vector<int>& order,
-      PhysicalPlan* plan_out = nullptr) const;
-
-  /// Same, but executes an explicit bushy split (for tests and benches):
-  /// the left segment covers binders [0, m] and the right segment
-  /// [m, n] merged on binder m's column when `tuple_join` (else
-  /// [m+1, n] joined through hop m), each segment itself left-deep in
-  /// textual order. Requires 0 < m < hops.size() for a tuple join and
-  /// 0 <= m < hops.size() otherwise.
-  Result<QueryRelation> JoinPipelineSplit(
-      const std::vector<QueryRelation>& inputs,
-      const std::vector<PipelineHop>& hops, int m, bool tuple_join,
-      PhysicalPlan* plan_out = nullptr) const;
 
  private:
   struct Candidate;  // sargable conjunct bound to an index (planner.cc)
@@ -427,22 +421,13 @@ class Planner {
 
   using Node = PhysicalPlan::Node;
 
-  /// PlanJoin with fractional input sizes (intermediate estimates).
-  JoinPlan PlanJoinEst(AssociationId assoc, double left_rows,
-                       double right_rows, int left_role, ClassId left_cls,
-                       ClassId right_cls) const;
-
   /// The DP core: cheapest join tree over binder segment [0, n] given
   /// the base input estimates. Returns null when `hops` is empty and
   /// input_rows has a single binder (the leaf is built by the caller) —
   /// otherwise always a tree covering every hop exactly once.
-  /// `allow_tuple_joins` is cleared by adaptive mid-chain re-planning,
-  /// where a "binder" can be an already-joined multi-column segment a
-  /// single-column tuple merge cannot soundly collapse.
   std::unique_ptr<Node> OptimizeJoinTree(
       const std::vector<PipelineHop>& hops,
-      const std::vector<double>& input_rows,
-      bool allow_tuple_joins = true) const;
+      const std::vector<double>& input_rows) const;
 
   /// A leaf node reading binder `i`.
   static std::unique_ptr<Node> MakeLeaf(int binder, double rows);
@@ -463,45 +448,25 @@ class Planner {
                                       std::unique_ptr<Node> left,
                                       std::unique_ptr<Node> right) const;
 
-  /// Builds a left-deep tree for an explicit hop order (old pipeline
-  /// semantics); InvalidArgument when the order is not left-deep.
-  Result<std::unique_ptr<Node>> TreeForOrder(
-      const std::vector<PipelineHop>& hops,
-      const std::vector<double>& input_rows,
-      const std::vector<int>& order) const;
-
-  /// Shape checks shared by the pipeline entry points.
+  /// Shape checks on JoinPipeline's inputs and hops.
   static Status ValidatePipelineInputs(
       const std::vector<QueryRelation>& inputs,
       const std::vector<PipelineHop>& hops);
 
+  /// The join tree `shape` asks for over binder sizes `input_rows`;
+  /// InvalidArgument when an explicit order is not left-deep or a split
+  /// does not fit the chain.
+  Result<std::unique_ptr<Node>> BuildJoinTree(
+      const std::vector<PipelineHop>& hops,
+      const std::vector<double>& input_rows, const JoinShape& shape) const;
+
   /// Executes `node` over the materialized binder inputs, recording
   /// per-node actual rows (and inclusive wall-clock when `ctx` asks for
-  /// node timing).
+  /// node timing) — the one executor of a plan tree.
   Result<QueryRelation> ExecuteNode(Node* node,
                                     const std::vector<QueryRelation>& inputs,
                                     const std::vector<PipelineHop>& hops,
                                     obs::ExecContext* ctx) const;
-
-  /// Executes an already-built tree and projects the result back to
-  /// textual binder-column order.
-  Result<QueryRelation> ExecuteTree(const std::vector<QueryRelation>& inputs,
-                                    const std::vector<PipelineHop>& hops,
-                                    PhysicalPlan plan,
-                                    PhysicalPlan* plan_out,
-                                    obs::ExecContext* ctx = nullptr) const;
-
-  /// Executes an already-built hop-only tree *stepwise* (joins in the
-  /// tree's post order), watching each intermediate: when an actual
-  /// size diverges from its estimate past the adaptive threshold, the
-  /// remaining segments re-enter the DP with exact sizes and execution
-  /// continues under the new tree. Trees containing tuple joins fall
-  /// back to ExecuteTree unchanged. Result and, absent any re-plan,
-  /// the executed plan tree are identical to ExecuteTree's.
-  Result<QueryRelation> ExecuteChainAdaptive(
-      const std::vector<QueryRelation>& inputs,
-      const std::vector<PipelineHop>& hops, PhysicalPlan plan,
-      PhysicalPlan* plan_out, obs::ExecContext* ctx) const;
 
   // --- Plan cache (query/plan_cache.h) ---------------------------------------
 

@@ -184,7 +184,7 @@ TEST_F(AttrIndexTest, PlannerUsesEqualityIndexWithIdenticalResults) {
             ScanIds(plant_.sensor, mixed));
 }
 
-TEST_F(AttrIndexTest, SelectFromClassMatchesAlgebraSelect) {
+TEST_F(AttrIndexTest, IndexedSelectIdsMatchAlgebraSelect) {
   for (int i = 0; i < 20; ++i) MakeSensor("S" + std::to_string(i), i % 4);
   ASSERT_TRUE(db_->CreateAttributeIndex({plant_.sensor, ""}).ok());
 
@@ -194,10 +194,10 @@ TEST_F(AttrIndexTest, SelectFromClassMatchesAlgebraSelect) {
   auto extent = algebra.ClassExtent(plant_.sensor, "s");
   auto scanned = algebra.Select(extent, "s", eq);
   ASSERT_TRUE(scanned.ok());
-  auto planned = planner.SelectFromClass(plant_.sensor, "s", eq);
-  ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(planned->attributes, scanned->attributes);
-  EXPECT_EQ(planned->tuples, scanned->tuples);
+  std::vector<ObjectId> scanned_ids;
+  for (const auto& tuple : scanned->tuples) scanned_ids.push_back(tuple[0]);
+  ASSERT_TRUE(planner.PlanSelect(plant_.sensor, eq).uses_index());
+  EXPECT_EQ(planner.SelectIds(plant_.sensor, eq), scanned_ids);
 }
 
 TEST_F(AttrIndexTest, MaintenanceThroughUpdateAndDelete) {

@@ -2,9 +2,10 @@
 // coverage, nested submit/await, publication at the Await barrier),
 // ExecPolicy gating, and the engine's core parallel contract — query
 // results are identical at every SEED_EXEC_THREADS setting and across
-// repeated parallel runs (determinism), for join pipelines and for
-// scan/residual selection paths. Also pins the EstimateRange pro-rating
-// fix: keys outside [lo, hi] must never inflate a range estimate.
+// repeated parallel runs (determinism), for join pipelines, textual
+// chains through Planner::Run and scan/residual selection paths. Also
+// pins the EstimateRange pro-rating fix: keys outside [lo, hi] must
+// never inflate a range estimate.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "exec/exec_policy.h"
 #include "exec/worker_pool.h"
 #include "index/index_manager.h"
+#include "obs/trace.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "schema/schema_builder.h"
@@ -229,8 +231,9 @@ TEST(ParallelExecution, ExplicitBushySplitIdenticalAcrossThreadCounts) {
     // estimates would not clear the default floor.
     policy.min_parallel_cost = 0.0;
     planner.set_exec_policy(policy);
-    auto out = planner.JoinPipelineSplit(world.inputs, world.hops,
-                                         /*m=*/1, /*tuple_join=*/true);
+    auto out = planner.JoinPipeline(
+        world.inputs, world.hops,
+        query::JoinShape::Split(/*m=*/1, /*tuple_join=*/true));
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return *out;
   };
@@ -238,6 +241,81 @@ TEST(ParallelExecution, ExplicitBushySplitIdenticalAcrossThreadCounts) {
   ASSERT_GT(base.size(), 0u);
   QueryRelation parallel = run_split(8);
   ASSERT_EQ(parallel.tuples, base.tuples);
+}
+
+TEST(ParallelExecution, BushyChainThroughRunIdenticalAcrossThreadCounts) {
+  // The small-huge-small chain logical_plan_test pins: the DP crosses the
+  // dense middle hop with a hop join of two reduced segments. Run (the
+  // textual path) executes that tree through the same executor as
+  // JoinPipeline, so the two joined subtrees fork onto the pool.
+  schema::SchemaBuilder b("BushyRun");
+  std::vector<ClassId> cls;
+  for (const char* name : {"A", "B", "C", "D"}) {
+    cls.push_back(b.AddIndependentClass(name, schema::ValueType::kNone));
+  }
+  std::vector<AssociationId> assocs;
+  for (int i = 0; i < 3; ++i) {
+    assocs.push_back(b.AddAssociation(
+        "H" + std::to_string(i),
+        schema::Role{"l", cls[i], schema::Cardinality::Any()},
+        schema::Role{"r", cls[i + 1], schema::Cardinality::Any()}));
+  }
+  Database db(*b.Build());
+  std::vector<std::vector<ObjectId>> objs(4);
+  for (int c = 0; c < 4; ++c) {
+    for (int i = 0; i < 100; ++i) {
+      objs[c].push_back(*db.CreateObject(
+          cls[c], "X" + std::to_string(c) + "_" + std::to_string(i)));
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    (void)*db.CreateRelationship(assocs[0], objs[0][i], objs[1][i]);
+    (void)*db.CreateRelationship(assocs[2], objs[2][i], objs[3][i]);
+  }
+  for (int i = 0; i < 100; ++i) {
+    for (int j = 0; j < 40; ++j) {
+      (void)*db.CreateRelationship(assocs[1], objs[1][i],
+                                   objs[2][(i + j * 13) % 100]);
+    }
+  }
+  query::LogicalChain chain;
+  for (int c = 0; c < 4; ++c) {
+    chain.binders.push_back(
+        query::LogicalSelect::Objects(cls[c], "b" + std::to_string(c)));
+  }
+  for (int h = 0; h < 3; ++h) chain.hops.push_back({assocs[h], 0});
+
+  auto run = [&](int threads, Planner::PhysicalPlan* plan) {
+    Planner planner(&db);
+    // A cache hit would mark the plan and change the rendering compared.
+    planner.set_plan_cache_enabled(false);
+    ExecPolicy policy = planner.exec_policy();
+    policy.threads = threads;
+    policy.min_parallel_cost = 0.0;
+    planner.set_exec_policy(policy);
+    obs::ExecContext ctx;
+    auto out = planner.Run(chain, plan, &ctx);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out->tuples : QueryRelation();
+  };
+  Planner::PhysicalPlan base_plan;
+  QueryRelation base = run(1, &base_plan);
+  ASSERT_GT(base.size(), 0u);
+  using Kind = Planner::PhysicalPlan::Node::Kind;
+  ASSERT_NE(base_plan.root, nullptr);
+  EXPECT_EQ(base_plan.root->kind, Kind::kHopJoin) << base_plan.ToString();
+  EXPECT_NE(base_plan.root->left->kind, Kind::kInput) << base_plan.ToString();
+  EXPECT_NE(base_plan.root->right->kind, Kind::kInput)
+      << base_plan.ToString();
+  for (int threads : {2, 8}) {
+    Planner::PhysicalPlan plan;
+    QueryRelation parallel = run(threads, &plan);
+    EXPECT_EQ(parallel.attributes, base.attributes);
+    ASSERT_EQ(parallel.tuples, base.tuples) << "threads=" << threads;
+    EXPECT_EQ(plan.ToAnalyzeString(/*mask_times=*/true),
+              base_plan.ToAnalyzeString(/*mask_times=*/true))
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParallelExecution, ScanSelectionIdenticalAcrossThreadCounts) {

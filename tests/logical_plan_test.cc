@@ -277,7 +277,8 @@ TEST(LogicalPlanDpTest, ChoosesBushyTreeOnSmallHugeSmallChain) {
                                     extent(cs, "c"), extent(ds, "d")};
   for (const auto& order : Planner::LeftDeepOrders(hops.size())) {
     Planner::PhysicalPlan left_deep;
-    auto r = planner.JoinPipelineInOrder(inputs, hops, order, &left_deep);
+    auto r = planner.JoinPipeline(
+        inputs, hops, JoinShape::LeftDeep(order), &left_deep);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_LT(plan.est_cost, left_deep.est_cost)
         << "order " << order[0] << order[1] << order[2];

@@ -1,15 +1,12 @@
-// Plan cache and adaptive-planning tests (statistics v2).
+// Plan cache tests (statistics v2).
 //
 // The contract under test: the plan cache is an optimization, never a
 // semantics or even an EXPLAIN-surface change. A cache-hit query must
 // return exactly what the fresh-planned query returns AND print a
 // byte-identical plan while the statistics are unchanged; past the
 // drift ratio the entry is invalidated and the query plans fresh, again
-// byte-identically to a cold cache. Adaptive execution extends the same
-// promise to mis-estimated intermediates: when execution abandons the
-// join tree mid-chain and re-enters the DP, the result still equals the
-// brute-force reference, and the re-plan is surfaced in EXPLAIN ANALYZE
-// and the planner.adaptive.replans.total counter.
+// byte-identically to a cold cache. A chain whose intermediate the
+// estimates badly miss still returns the brute-force result.
 
 #include <gtest/gtest.h>
 
@@ -215,7 +212,7 @@ TEST_F(PlanCacheTest, DisabledPlannerNeverTouchesTheCache) {
 /// A world built to mis-estimate: one hub Item holds every Link edge,
 /// so a selection down to the hub estimates ~assoc/extent joined rows
 /// while actually producing the association's whole population.
-TEST(AdaptivePlanningTest, MisestimatedIntermediateTriggersReplan) {
+TEST(SkewedChainTest, SkewedHubChainMatchesBruteForce) {
   schema::SchemaBuilder b("SkewWorld");
   ClassId a_cls = b.AddIndependentClass("A", schema::ValueType::kInt);
   ClassId b_cls = b.AddIndependentClass("B", schema::ValueType::kNone);
@@ -240,8 +237,7 @@ TEST(AdaptivePlanningTest, MisestimatedIntermediateTriggersReplan) {
   }
   // Only the hub carries value 7; every AB edge hangs off it. The
   // uniform coverage model sees 1-of-100 selectivity over 200 edges and
-  // estimates ~2 joined rows; execution produces all 200 — an 8x+
-  // divergence that must re-enter the DP mid-chain.
+  // estimates ~2 joined rows; execution produces all 200.
   ASSERT_TRUE(db.SetValue(as[0], Value::Int(7)).ok());
   for (int i = 1; i < 100; ++i) {
     ASSERT_TRUE(db.SetValue(as[i], Value::Int(i % 5)).ok());
@@ -255,7 +251,6 @@ TEST(AdaptivePlanningTest, MisestimatedIntermediateTriggersReplan) {
   std::sort(expected.begin(), expected.end());
 
   PlanCache::Global().Clear();
-  std::uint64_t replans = CounterValue("planner.adaptive.replans.total");
   QueryTrace trace;
   auto r = RunJoinChainQuery(db,
                              "find A x join via AB to B y "
@@ -263,10 +258,6 @@ TEST(AdaptivePlanningTest, MisestimatedIntermediateTriggersReplan) {
                              nullptr, &trace);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->tuples, expected);
-  EXPECT_GE(trace.plan.adaptive_replans, 1);
-  EXPECT_GT(CounterValue("planner.adaptive.replans.total"), replans);
-  EXPECT_NE(trace.Render(/*mask_times=*/true).find("adaptive-replans:"),
-            std::string::npos);
   PlanCache::Global().Clear();
 }
 

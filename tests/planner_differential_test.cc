@@ -56,6 +56,7 @@ namespace {
 using core::Database;
 using core::Value;
 using index::IndexSpec;
+using query::JoinShape;
 using query::Planner;
 using query::Predicate;
 
@@ -283,7 +284,7 @@ size_t RunCraftedBushyChainDifferential() {
 
   Planner planner(db.get());
   Planner::PhysicalPlan plan;
-  auto planned = planner.JoinPipeline(inputs, hops, &plan);
+  auto planned = planner.JoinPipeline(inputs, hops, {}, &plan);
   EXPECT_TRUE(planned.ok()) << planned.status().ToString();
   if (!planned.ok()) return 0;
   EXPECT_EQ(planned->tuples, expected)
@@ -470,11 +471,12 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
 
       auto expected = naive_join(a, b, assoc, left_role);
 
-      // The planner-chosen strategy...
-      Planner::JoinPlan plan;
-      auto planned = planner.Join(a, a.attributes[0], assoc, b,
-                                  b.attributes[0], left_role, &plan);
+      // The planner-chosen strategy (a one-hop pipeline)...
+      Planner::PipelineHop hop{assoc, left_role, ClassId(), ClassId()};
+      Planner::PhysicalPlan tree;
+      auto planned = planner.JoinPipeline({a, b}, {hop}, {}, &tree);
       ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      const Planner::JoinPlan& plan = tree.root->join;
       ASSERT_EQ(planned->tuples, expected)
           << "join diverged at seed " << seed << " (plan: "
           << plan.ToString() << ")";
@@ -600,7 +602,7 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
       // The planner-chosen plan tree (the DP may pick any left-deep or
       // bushy shape)...
       Planner::PhysicalPlan plan;
-      auto planned = planner.JoinPipeline(inputs, hops, &plan);
+      auto planned = planner.JoinPipeline(inputs, hops, {}, &plan);
       ASSERT_TRUE(planned.ok()) << planned.status().ToString();
       ASSERT_EQ(planned->tuples, expected)
           << "chain diverged at seed " << seed << " (plan: "
@@ -643,7 +645,8 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
         orders = std::move(sampled);
       }
       for (const auto& order : orders) {
-        auto direct = planner.JoinPipelineInOrder(inputs, hops, order);
+        auto direct = planner.JoinPipeline(
+            inputs, hops, JoinShape::LeftDeep(order));
         ASSERT_TRUE(direct.ok()) << direct.status().ToString();
         ASSERT_EQ(direct->tuples, expected)
             << "ordering diverged at seed " << seed;
@@ -658,8 +661,8 @@ TEST(PlannerDifferentialTest, PlannerMatchesBruteForceScan) {
           continue;
         }
         Planner::PhysicalPlan bushy;
-        auto split =
-            planner.JoinPipelineSplit(inputs, hops, mid, tuple, &bushy);
+        auto split = planner.JoinPipeline(
+            inputs, hops, JoinShape::Split(mid, tuple), &bushy);
         ASSERT_TRUE(split.ok()) << split.status().ToString();
         ASSERT_EQ(split->tuples, expected)
             << "bushy split diverged at seed " << seed << " (plan: "

@@ -158,10 +158,12 @@ TEST(PlannerJoinTest, PlannedJoinExecutesIdenticallyToEveryStrategy) {
   Algebra algebra(w.db.get());
   QueryRelation a = Take(w.srcs, 7, "s");
   QueryRelation b = Take(w.dsts, 30, "d");
-  JoinPlan plan;
-  auto planned = planner.Join(a, "s", w.flows, b, "d", 0, &plan);
+  Planner::PipelineHop hop{w.flows, 0, ClassId(), ClassId()};
+  Planner::PhysicalPlan plan;
+  auto planned = planner.JoinPipeline({a, b}, {hop}, {}, &plan);
   ASSERT_TRUE(planned.ok());
-  EXPECT_EQ(plan.strategy, Strategy::kIndexNestedLoopLeft);
+  ASSERT_NE(plan.root, nullptr);
+  EXPECT_EQ(plan.root->join.strategy, Strategy::kIndexNestedLoopLeft);
   EXPECT_FALSE(planned->empty());
   for (auto method : {Algebra::JoinOptions::Method::kHash,
                       Algebra::JoinOptions::Method::kIndexNestedLoop}) {
@@ -183,12 +185,12 @@ TEST(PlannerJoinTest, JoinRejectsInvalidRoles) {
   Planner planner(w.db.get());
   QueryRelation a = Take(w.srcs, 5, "s");
   QueryRelation b = Take(w.dsts, 5, "d");
-  EXPECT_TRUE(planner.Join(a, "s", w.flows, b, "d", 2)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(planner.Join(a, "s", w.flows, b, "d", -1)
-                  .status()
-                  .IsInvalidArgument());
+  for (int role : {2, -1}) {
+    Planner::PipelineHop hop{w.flows, role, ClassId(), ClassId()};
+    EXPECT_TRUE(
+        planner.JoinPipeline({a, b}, {hop}).status().IsInvalidArgument())
+        << "role " << role;
+  }
 }
 
 TEST(PlannerJoinTest, TrackedDegreeStatisticsSeeClassSkew) {
@@ -297,7 +299,7 @@ TEST(PlannerJoinTest, PipelineRunsTheSelectiveHopFirst) {
   EXPECT_EQ(plan.HopOrder(), (std::vector<int>{1, 0})) << plan.ToString();
 
   Planner::PhysicalPlan executed;
-  auto chosen = planner.JoinPipeline(inputs, hops, &executed);
+  auto chosen = planner.JoinPipeline(inputs, hops, {}, &executed);
   ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
   EXPECT_EQ(chosen->attributes,
             (std::vector<std::string>{"a", "b", "c"}));
@@ -309,19 +311,31 @@ TEST(PlannerJoinTest, PipelineRunsTheSelectiveHopFirst) {
   EXPECT_GE(executed.root->right->actual_rows, 0);
   // Every left-deep ordering computes the same relation.
   for (const auto& order : Planner::LeftDeepOrders(hops.size())) {
-    auto direct = planner.JoinPipelineInOrder(inputs, hops, order);
+    auto direct =
+        planner.JoinPipeline(inputs, hops, JoinShape::LeftDeep(order));
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     EXPECT_EQ(direct->tuples, chosen->tuples);
   }
 
-  // Bad shapes are rejected: a non-left-deep order, a wrong input count
+  // Bad shapes are rejected: a non-left-deep order, a split out of
+  // range, a shape naming both an order and a split, a wrong input count
   // and a non-unary input.
-  EXPECT_TRUE(planner.JoinPipelineInOrder(inputs, hops, {1})
+  EXPECT_TRUE(planner.JoinPipeline(inputs, hops, JoinShape::LeftDeep({1}))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(planner.JoinPipelineInOrder(inputs, hops, {0, 0})
+  EXPECT_TRUE(planner.JoinPipeline(inputs, hops, JoinShape::LeftDeep({0, 0}))
                   .status()
                   .IsInvalidArgument());
+  EXPECT_TRUE(planner.JoinPipeline(inputs, hops, JoinShape::Split(0, true))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(planner.JoinPipeline(inputs, hops, JoinShape::Split(2, false))
+                  .status()
+                  .IsInvalidArgument());
+  JoinShape both = JoinShape::LeftDeep({0, 1});
+  both.split = 1;
+  EXPECT_TRUE(
+      planner.JoinPipeline(inputs, hops, both).status().IsInvalidArgument());
   EXPECT_TRUE(
       planner.JoinPipeline({inputs[0], inputs[1]}, hops)
           .status()

@@ -42,8 +42,8 @@ SUBSYSTEMS = (
     "core", "index", "storage", "multiuser", "version",
     "query", "algebra", "exec", "obs", "server",
     # Statistics-v2 / plan-cache instruments (docs/metrics.md): the
-    # planner's cache and adaptive-execution counters, and the
-    # estimation layer's histogram instruments.
+    # planner's cache counters and the estimation layer's histogram
+    # instruments.
     "planner", "stats",
 )
 
