@@ -38,7 +38,6 @@
 #include "multiuser/server.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
-#include "query/plan_cache.h"
 #include "query/planner.h"
 #include "schema/schema_builder.h"
 #include "spades/spec_schema.h"
@@ -454,17 +453,15 @@ std::uint64_t MultiuserConcurrent(std::string* extra_json) {
   return total_reads;
 }
 
-/// The textual plan-cache hot loop: one parameterized 6-hop join-chain
-/// shape, run cold (cache cleared before every query) and warm (cache
-/// retained, only the literal varies). The loop hard-gates the cache
-/// contract in-driver, like ParallelJoinSkewed gates its rows identity:
-/// warm hit rate must be >= 90%, the warm per-query optimize phase must
-/// be >= 5x cheaper than cold, and both loops must visit identical rows
-/// (a cached plan never changes the work). Hit rate and per-query plan
-/// times land in the JSON.
-std::uint64_t PlanCacheHotLoop(int scale, std::string* extra_json) {
+/// The textual 6-hop join-chain hot loop: one parameterized chain shape
+/// run 400 times, only the literal varying. Every query plans fresh
+/// (there is no plan cache); the scenario keeps its historical name,
+/// plan_cache_hot_loop, so its rows visited stay comparable with the
+/// committed baselines. The per-query optimize-phase time lands in the
+/// JSON, never gated.
+std::uint64_t ChainHotLoop(int scale, std::string* extra_json) {
   constexpr int kChainHops = 6;
-  seed::schema::SchemaBuilder builder("PlanCacheWorld");
+  seed::schema::SchemaBuilder builder("ChainHotLoopWorld");
   std::vector<seed::ClassId> classes;
   for (int i = 0; i <= kChainHops; ++i) {
     classes.push_back(builder.AddIndependentClass(
@@ -512,80 +509,26 @@ std::uint64_t PlanCacheHotLoop(int scale, std::string* extra_json) {
     query_prefix += " join via H" + std::to_string(i + 1) + " to C" +
                     std::to_string(i + 1) + " b" + std::to_string(i + 1);
   }
-  constexpr int kQueries = 200;
-  auto run_loop = [&](bool cold, std::uint64_t* optimize_ns,
-                      std::uint64_t* rows) {
-    std::uint64_t rows_before = RowsVisitedCounter();
-    *optimize_ns = 0;
-    for (int q = 0; q < kQueries; ++q) {
-      if (cold) seed::query::PlanCache::Global().Clear();
-      seed::query::QueryTrace trace;
-      auto r = seed::query::RunJoinChainQuery(
-          db, query_prefix + " where b0 value is " + std::to_string(q % 10),
-          nullptr, &trace);
-      if (!r.ok()) Die("RunJoinChainQuery", r.status());
-      *optimize_ns += trace.ctx.phase_ns[static_cast<int>(
-                                             seed::obs::QueryPhase::kOptimize)]
-                          .load(std::memory_order_relaxed);
-    }
-    *rows = RowsVisitedCounter() - rows_before;
-  };
+  constexpr int kQueries = 400;
+  std::uint64_t optimize_ns = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    seed::query::QueryTrace trace;
+    auto r = seed::query::RunJoinChainQuery(
+        db, query_prefix + " where b0 value is " + std::to_string(q % 10),
+        nullptr, &trace);
+    if (!r.ok()) Die("RunJoinChainQuery", r.status());
+    optimize_ns +=
+        trace.ctx.phase_ns[static_cast<int>(seed::obs::QueryPhase::kOptimize)]
+            .load(std::memory_order_relaxed);
+  }
 
-  seed::query::PlanCache::Global().Clear();
-  std::uint64_t cold_ns = 0, cold_rows = 0;
-  run_loop(/*cold=*/true, &cold_ns, &cold_rows);
-  // The cold loop's final query left its entry behind, so the warm loop
-  // starts hot: every one of its lookups can hit.
-  std::uint64_t hits_before = seed::obs::MetricsRegistry::Global()
-                                  .GetCounter("planner.cache.hits.total")
-                                  ->value();
-  std::uint64_t warm_ns = 0, warm_rows = 0;
-  run_loop(/*cold=*/false, &warm_ns, &warm_rows);
-  std::uint64_t hits = seed::obs::MetricsRegistry::Global()
-                           .GetCounter("planner.cache.hits.total")
-                           ->value() -
-                       hits_before;
-  seed::query::PlanCache::Global().Clear();
-
-  double hit_rate = static_cast<double>(hits) / kQueries;
-  double speedup = warm_ns == 0 ? 0.0
-                                : static_cast<double>(cold_ns) /
-                                      static_cast<double>(warm_ns);
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "\"warm_hit_rate\": %.3f, \"cold_plan_us_per_query\": %.2f, "
-                "\"warm_plan_us_per_query\": %.2f, \"plan_speedup\": %.2f",
-                hit_rate, static_cast<double>(cold_ns) / 1e3 / kQueries,
-                static_cast<double>(warm_ns) / 1e3 / kQueries, speedup);
+  const double plan_us = static_cast<double>(optimize_ns) / 1e3 / kQueries;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "\"plan_us_per_query\": %.2f", plan_us);
   *extra_json = buf;
-  std::fprintf(stderr,
-               "  %-28s warm hit rate %.1f%%, plan %.2fus -> %.2fus "
-               "per query (%.1fx)\n",
-               "plan_cache_hot_loop", hit_rate * 100.0,
-               static_cast<double>(cold_ns) / 1e3 / kQueries,
-               static_cast<double>(warm_ns) / 1e3 / kQueries, speedup);
-  if (hit_rate < 0.9) {
-    std::fprintf(stderr, "bench_trajectory: plan_cache_hot_loop warm hit "
-                         "rate %.1f%% below the 90%% gate\n",
-                 hit_rate * 100.0);
-    std::exit(1);
-  }
-  if (speedup < 5.0) {
-    std::fprintf(stderr, "bench_trajectory: plan_cache_hot_loop warm "
-                         "planning only %.2fx cheaper than cold "
-                         "(gate: 5x)\n",
-                 speedup);
-    std::exit(1);
-  }
-  if (cold_rows != warm_rows) {
-    std::fprintf(stderr,
-                 "bench_trajectory: plan_cache_hot_loop visited %" PRIu64
-                 " rows warm vs %" PRIu64 " cold — the cache changed the "
-                 "work\n",
-                 warm_rows, cold_rows);
-    std::exit(1);
-  }
-  return 2 * kQueries;
+  std::fprintf(stderr, "  %-28s plan %.2fus per query\n",
+               "plan_cache_hot_loop", plan_us);
+  return kQueries;
 }
 
 /// The DP-planned skewed 5-hop chain shared with bench_query and the
@@ -834,11 +777,11 @@ int main(int argc, char** argv) {
   append_extra(multiuser_extra);
   results.push_back(
       RunScenario("join_chain_5hop", [&] { return JoinChain5Hop(scale); }));
-  std::string cache_extra;
+  std::string hot_loop_extra;
   results.push_back(RunScenario("plan_cache_hot_loop", [&] {
-    return PlanCacheHotLoop(scale, &cache_extra);
+    return ChainHotLoop(scale, &hot_loop_extra);
   }));
-  append_extra(cache_extra);
+  append_extra(hot_loop_extra);
   std::string parallel_extra;
   results.push_back(RunScenario("parallel_join_skewed", [&] {
     return ParallelJoinSkewed(scale, &parallel_extra);

@@ -185,16 +185,11 @@ class Shell {
     Printf("%s\n", s.ok() ? "ok" : s.ToString().c_str());
   }
 
-  /// The database retrieval reads: in client mode the session's pinned
-  /// snapshot (shared ownership keeps it alive across the query); in the
-  /// other modes the working database, wrapped unowned.
-  Result<std::shared_ptr<const Database>> QueryDb() {
-    if (session_ == nullptr) {
-      return std::shared_ptr<const Database>(std::shared_ptr<void>(), db_);
-    }
-    auto snap = session_->View();
-    if (!snap.ok()) return snap.status();
-    return seed::version::PinDatabase(std::move(*snap));
+  /// The snapshot retrieval reads in client mode: the session's pinned
+  /// snapshot. Null in the other modes, which read the working database.
+  Result<seed::version::SnapshotPtr> QuerySnapshot() {
+    if (session_ == nullptr) return seed::version::SnapshotPtr();
+    return session_->View();
   }
 
   Result<ObjectId> Find(const std::string& path) {
@@ -370,12 +365,12 @@ class Shell {
       // Retrieval reads the session snapshot in client mode (never the
       // master, never the half-edited workspace) — the pin keeps the
       // frozen state alive for the whole query.
-      auto qdb_result = QueryDb();
-      if (!qdb_result.ok()) {
-        Print(qdb_result.status());
+      auto pin = QuerySnapshot();
+      if (!pin.ok()) {
+        Print(pin.status());
         return true;
       }
-      std::shared_ptr<const Database> qdb = std::move(*qdb_result);
+      const Database& qdb = *pin == nullptr ? *db_ : (*pin)->database();
       size_t matches = 0;
       if (join_query) {
         auto result =
@@ -389,7 +384,7 @@ class Shell {
           std::string row;
           for (seed::ObjectId id : tuple) {
             if (!row.empty()) row += " -- ";
-            row += qdb->FullName(id);
+            row += qdb.FullName(id);
           }
           Printf("%s\n", row.c_str());
         }
@@ -404,7 +399,7 @@ class Shell {
         print_plan();
         for (seed::RelationshipId id : *result) {
           Printf("%s\n",
-                      Printer::RenderRelationship(*qdb, id).c_str());
+                      Printer::RenderRelationship(qdb, id).c_str());
         }
         matches = result->size();
       } else {
@@ -415,7 +410,7 @@ class Shell {
         }
         print_plan();
         for (seed::ObjectId id : *result) {
-          Printf("%s\n", qdb->FullName(id).c_str());
+          Printf("%s\n", qdb.FullName(id).c_str());
         }
         matches = result->size();
       }

@@ -1,7 +1,6 @@
 #include "core/database.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <tuple>
 
@@ -116,8 +115,6 @@ void CountReclassify() {
 
 Database::Database(schema::SchemaPtr schema) : schema_(std::move(schema)) {
   assert(schema_ != nullptr);
-  static std::atomic<std::uint64_t> next_instance_id{1};
-  instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 ObjectItem* Database::MutableObject(ObjectId id) {

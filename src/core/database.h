@@ -103,11 +103,6 @@ class Database {
 
   const schema::SchemaPtr& schema() const { return schema_; }
 
-  /// Process-unique id assigned at construction and carried through
-  /// moves. The plan cache keys on it so entries never alias across
-  /// databases (every version snapshot is a fresh instance).
-  std::uint64_t instance_id() const { return instance_id_; }
-
   // --- Object creation and update -----------------------------------------
 
   /// Creates an independent object of `cls` with unique `name`.
@@ -436,7 +431,6 @@ class Database {
   Status DeleteRelationshipImpl(RelationshipId id);
 
   schema::SchemaPtr schema_;
-  std::uint64_t instance_id_ = 0;
 
   // Ordered maps so scans and serialization are deterministic.
   std::map<ObjectId, ObjectItem> objects_;

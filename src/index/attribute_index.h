@@ -148,8 +148,7 @@ class AttributeIndex {
   std::vector<HistogramBucket> Histogram() const;
 
   /// Monotonic count of posting mutations (inserts + erases + clears).
-  /// The histogram uses it as its rebuild stamp; the plan cache reads it
-  /// as a cheap drift fingerprint.
+  /// The histogram uses it as its rebuild stamp.
   std::uint64_t mutation_count() const { return mutations_; }
 
   /// Distinct (key, object) pairs in key order; for tests and stats.

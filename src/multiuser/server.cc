@@ -168,9 +168,10 @@ Result<std::vector<ObjectId>> Server::Query(ClientId client,
   static obs::Counter* queries =
       obs::MetricsRegistry::Global().GetCounter("server.queries.total");
   queries->Increment();
+  // The local pin keeps the snapshot alive for the whole query, even if
+  // a concurrent commit republishes the session's snapshot meanwhile.
   SEED_ASSIGN_OR_RETURN(version::SnapshotPtr snap, SessionSnapshot(client));
-  return query::RunQuery(version::PinDatabase(std::move(snap)), text,
-                         plan_out, trace);
+  return query::RunQuery(snap->database(), text, plan_out, trace);
 }
 
 // --- Locks and checkout ------------------------------------------------------

@@ -1,6 +1,6 @@
 // The logical query algebra: one intermediate representation that every
 // textual query form lowers into, and the single input of the planner's
-// Optimize() entry point.
+// Run() and Optimize() entry points.
 //
 // A LogicalChain is a path of binder-named selections connected by join
 // hops:
@@ -19,9 +19,11 @@
 // (RunQuery / RunRelationshipQuery / RunJoinQuery / RunJoinChainQuery)
 // and the planner one planning routine per shape, so every optimizer
 // improvement had to be implemented four times. All four entry points
-// now lower into a LogicalChain and execute through
-// Planner::Optimize(chain) — the one place join ordering, bushy plans
-// and access-path selection live.
+// now lower into a LogicalChain and execute through Planner::Run(chain),
+// which plans each binder's access path, materializes the binders and
+// runs the join-order DP once from their actual sizes — the one place
+// join ordering, bushy plans and access-path selection live.
+// Planner::Optimize(chain) plans the same chain without executing it.
 
 #ifndef SEED_QUERY_LOGICAL_H_
 #define SEED_QUERY_LOGICAL_H_

@@ -575,35 +575,4 @@ Result<JoinChainResult> RunJoinChainQuery(const core::Database& db,
   return Parser(db, std::move(tokens), plan_out, trace).RunJoinChain();
 }
 
-// The shared_ptr overloads keep the pin on the stack across the whole
-// call, then forward to the borrowing implementations.
-
-Result<std::vector<ObjectId>> RunQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out, QueryTrace* trace) {
-  if (db == nullptr) return Status::InvalidArgument("null database pin");
-  return RunQuery(*db, text, plan_out, trace);
-}
-
-Result<std::vector<RelationshipId>> RunRelationshipQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out, QueryTrace* trace) {
-  if (db == nullptr) return Status::InvalidArgument("null database pin");
-  return RunRelationshipQuery(*db, text, plan_out, trace);
-}
-
-Result<std::vector<std::pair<ObjectId, ObjectId>>> RunJoinQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out, QueryTrace* trace) {
-  if (db == nullptr) return Status::InvalidArgument("null database pin");
-  return RunJoinQuery(*db, text, plan_out, trace);
-}
-
-Result<JoinChainResult> RunJoinChainQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out, QueryTrace* trace) {
-  if (db == nullptr) return Status::InvalidArgument("null database pin");
-  return RunJoinChainQuery(*db, text, plan_out, trace);
-}
-
 }  // namespace seed::query

@@ -48,7 +48,7 @@
 // conditions name the binder they constrain.
 //
 // Every query form lowers into the logical IR (query/logical.h) and
-// executes through the one optimizer entry point, Planner::Optimize: each
+// executes through the one planner entry point, Planner::Run: each
 // binder's selection plans through the cost-based access paths (sargable
 // conditions use a matching attribute index — single probe or multi-index
 // intersection — when estimated cheaper than the extent scan), and join
@@ -64,7 +64,6 @@
 #ifndef SEED_QUERY_PARSER_H_
 #define SEED_QUERY_PARSER_H_
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,30 +131,6 @@ Result<JoinChainResult> RunJoinChainQuery(const core::Database& db,
                                           std::string_view text,
                                           std::string* plan_out = nullptr,
                                           QueryTrace* trace = nullptr);
-
-// --- Snapshot-pinned entry points -----------------------------------------
-//
-// Overloads taking shared ownership of the database, for callers reading
-// an MVCC snapshot (version::PinDatabase): the pin is held for the whole
-// parse/plan/execute span, so a concurrent commit publishing a newer
-// snapshot can never free the state a running query reads. Semantics are
-// identical to the borrowing overloads above.
-
-Result<std::vector<ObjectId>> RunQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out = nullptr, QueryTrace* trace = nullptr);
-
-Result<std::vector<RelationshipId>> RunRelationshipQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out = nullptr, QueryTrace* trace = nullptr);
-
-Result<std::vector<std::pair<ObjectId, ObjectId>>> RunJoinQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out = nullptr, QueryTrace* trace = nullptr);
-
-Result<JoinChainResult> RunJoinChainQuery(
-    std::shared_ptr<const core::Database> db, std::string_view text,
-    std::string* plan_out = nullptr, QueryTrace* trace = nullptr);
 
 }  // namespace seed::query
 

@@ -100,85 +100,6 @@ bool ExtractSarg(const PredicateShape* shape, std::string role, Sarg* out) {
   return false;
 }
 
-/// The binder's sargable conjuncts in extraction order — the ordinal
-/// space Plan::Leg::sarg_ordinal indexes into. Counts *every* sargable
-/// conjunct (indexed or not), so the ordinal of a conjunct is derivable
-/// from the predicate alone when a cached skeleton is re-bound.
-std::vector<Sarg> CollectObjectSargs(const Predicate& p) {
-  std::vector<Sarg> out;
-  if (p.shape() == nullptr) return out;
-  std::vector<const PredicateShape*> conjuncts;
-  CollectConjuncts(p.shape(), &conjuncts);
-  for (const PredicateShape* conjunct : conjuncts) {
-    Sarg sarg;
-    if (ExtractSarg(conjunct, "", &sarg)) out.push_back(std::move(sarg));
-  }
-  return out;
-}
-
-/// Same ordinal space for a relationship binder: one sarg per condition
-/// whose inner predicate is sargable on the sub-object's own value.
-std::vector<Sarg> CollectRelSargs(
-    const std::vector<Planner::RelCondition>& conditions) {
-  std::vector<Sarg> out;
-  for (const auto& cond : conditions) {
-    if (cond.inner.shape() == nullptr) continue;
-    Sarg sarg;
-    if (!ExtractSarg(cond.inner.shape(), "", &sarg) || !sarg.role.empty()) {
-      continue;
-    }
-    out.push_back(std::move(sarg));
-  }
-  return out;
-}
-
-/// Serializes a predicate's *shape* — structure, roles and operators,
-/// with every literal parameterized out — into the plan cache key. Two
-/// predicates with the same serialization are planned identically
-/// modulo the statistics of their literals, which the cached skeleton
-/// re-estimates live at re-bind; residual evaluation always runs the
-/// live predicate, so collapsing literals never affects results.
-void AppendShapeKey(const PredicateShape* shape, std::string* out) {
-  if (shape == nullptr) {
-    *out += "?";
-    return;
-  }
-  switch (shape->kind) {
-    case Kind::kOpaque: *out += "?"; return;
-    case Kind::kTrue: *out += "t"; return;
-    case Kind::kHasValue: *out += "v"; return;
-    case Kind::kValueEquals: *out += "="; return;
-    case Kind::kValueContains: *out += "~"; return;
-    case Kind::kIntLess: *out += "<"; return;
-    case Kind::kIntGreater: *out += ">"; return;
-    case Kind::kNameIs: *out += "n"; return;
-    case Kind::kNameContains: *out += "N"; return;
-    case Kind::kOfClass: *out += "k"; return;
-    case Kind::kOnSubObject:
-      // The role is structural: it selects the index, not a literal.
-      *out += "s[" + shape->text + "](";
-      AppendShapeKey(shape->children.empty() ? nullptr
-                                             : shape->children[0].get(),
-                     out);
-      *out += ")";
-      return;
-    case Kind::kAnd:
-    case Kind::kOr:
-    case Kind::kNot: {
-      *out += shape->kind == Kind::kAnd   ? "&("
-              : shape->kind == Kind::kOr  ? "|("
-                                          : "!(";
-      for (const auto& child : shape->children) {
-        AppendShapeKey(child.get(), out);
-        *out += ",";
-      }
-      *out += ")";
-      return;
-    }
-  }
-  *out += "?";
-}
-
 /// Participation skew past this multiple of the mean degree inflates
 /// the index-nested-loop degree estimate.
 constexpr double kDegreeSkewThreshold = 8.0;
@@ -432,21 +353,13 @@ Planner::Plan Planner::PlanSelect(ClassId cls, const Predicate& p,
   CollectConjuncts(p.shape(), &conjuncts);
 
   std::vector<Candidate> candidates;
-  // The ordinal counts *every* extracted sarg, indexed or not, so a
-  // cached leg's ordinal re-derives from the predicate alone even if
-  // the index set changed in between (the re-bind then re-resolves or
-  // invalidates).
-  size_t sarg_ordinal = 0;
   for (const PredicateShape* conjunct : conjuncts) {
     Sarg sarg;
     if (!ExtractSarg(conjunct, "", &sarg)) continue;
-    const size_t ordinal = sarg_ordinal++;
     const index::AttributeIndex* idx = manager.BestFor(
         *db_->schema(), cls, include_specializations, sarg.role);
     if (idx == nullptr) continue;
-    Candidate c = Candidate::FromSarg(idx, std::move(sarg));
-    c.leg.sarg_ordinal = ordinal;
-    candidates.push_back(std::move(c));
+    candidates.push_back(Candidate::FromSarg(idx, std::move(sarg)));
   }
   return ChooseCheapest(std::move(candidates), extent_rows);
 }
@@ -788,9 +701,6 @@ std::string Planner::PhysicalPlan::ToAnalyzeString(bool mask_times) const {
     if (!s.empty()) s += "; ";
     s += root->ToAnalyzeString(binders, mask_times);
   }
-  // Only a cache hit adds a marker, so a fresh execution renders the
-  // same body as its golden.
-  if (from_cache) s += "; plan-cache: hit";
   return s;
 }
 
@@ -1257,196 +1167,7 @@ std::vector<Planner::PipelineHop> Planner::LowerHops(
   return hops;
 }
 
-// --- Plan cache --------------------------------------------------------------
-
-std::string Planner::BuildShapeKey(const LogicalChain& chain) const {
-  std::string key = "db" + std::to_string(db_->instance_id());
-  for (const LogicalSelect& b : chain.binders) {
-    if (b.extent == LogicalSelect::Extent::kRelationships) {
-      key += "|r" + std::to_string(b.assoc.raw());
-      key += b.include_specializations ? "+" : "-";
-      for (const RelCondition& cond : b.rel_conditions) {
-        key += ",[" + cond.role + "]=";
-        AppendShapeKey(cond.inner.shape(), &key);
-      }
-    } else {
-      key += "|o" + std::to_string(b.cls.raw());
-      key += b.include_specializations ? "+" : "-";
-      key += ",p=";
-      AppendShapeKey(b.pred.shape(), &key);
-    }
-  }
-  // Binder names are deliberately not part of the key: they rename
-  // output columns, never the plan; a hit re-labels from the live chain.
-  for (const LogicalJoinHop& h : chain.hops) {
-    key += "|h" + std::to_string(h.assoc.raw()) + ":" +
-           std::to_string(h.left_role);
-  }
-  return key;
-}
-
-std::optional<std::vector<std::uint64_t>> Planner::LiveFingerprints(
-    const LogicalChain& chain, const CachedPlan& cached) const {
-  if (cached.selects.size() != chain.binders.size()) return std::nullopt;
-  const schema::Schema& schema = *db_->schema();
-  const core::ExtentCounters& counters = db_->extent_counters();
-  const index::IndexManager& manager = db_->attribute_indexes();
-  std::vector<std::uint64_t> fingerprints;
-  for (size_t i = 0; i < chain.binders.size(); ++i) {
-    const LogicalSelect& b = chain.binders[i];
-    fingerprints.push_back(
-        b.extent == LogicalSelect::Extent::kRelationships
-            ? counters.CountAssociationExtent(schema, b.assoc,
-                                              b.include_specializations)
-            : counters.CountClassExtent(schema, b.cls,
-                                        b.include_specializations));
-    for (const CachedPlan::Leg& leg : cached.selects[i].legs) {
-      const index::AttributeIndex* idx = manager.Find(leg.spec);
-      if (idx == nullptr) return std::nullopt;
-      fingerprints.push_back(idx->num_entries());
-    }
-  }
-  for (const LogicalJoinHop& h : chain.hops) {
-    fingerprints.push_back(counters.CountAssociationExtent(schema, h.assoc,
-                                                           true));
-  }
-  return fingerprints;
-}
-
-std::optional<Planner::Plan> Planner::RebindSelect(
-    const LogicalSelect& binder, const CachedPlan::Select& cached) const {
-  const index::IndexManager& manager = db_->attribute_indexes();
-  const bool rel = binder.extent == LogicalSelect::Extent::kRelationships;
-  const double extent_rows = static_cast<double>(
-      rel ? db_->extent_counters().CountAssociationExtent(
-                *db_->schema(), binder.assoc, binder.include_specializations)
-          : db_->extent_counters().CountClassExtent(
-                *db_->schema(), binder.cls, binder.include_specializations));
-  Plan plan;
-  plan.extent_rows = extent_rows;
-  if (cached.legs.empty()) {
-    // The skeleton pinned the full-scan decision; estimates are live.
-    plan.est_rows = extent_rows;
-    plan.est_cost = CostModel::ScanCost(extent_rows);
-    return plan;
-  }
-  const std::vector<Sarg> sargs = rel ? CollectRelSargs(binder.rel_conditions)
-                                      : CollectObjectSargs(binder.pred);
-  std::vector<Candidate> legs;
-  for (const CachedPlan::Leg& cleg : cached.legs) {
-    if (cleg.sarg_ordinal >= sargs.size()) return std::nullopt;
-    const index::AttributeIndex* idx = manager.Find(cleg.spec);
-    if (idx == nullptr) return std::nullopt;
-    Candidate c = Candidate::FromSarg(idx, sargs[cleg.sarg_ordinal]);
-    c.leg.sarg_ordinal = cleg.sarg_ordinal;
-    legs.push_back(std::move(c));
-  }
-  if (legs.size() == 1) {
-    // Estimate and cost exactly as ChooseCheapest's single-index arm,
-    // so an unchanged-statistics re-bind prints byte-identically to
-    // the fresh plan.
-    plan.kind = legs[0].kind;
-    plan.est_rows = legs[0].leg.est_rows;
-    plan.est_cost =
-        CostModel::SingleIndexCost(legs[0].probes, legs[0].leg.est_rows);
-    plan.legs.push_back(std::move(legs[0].leg));
-    return plan;
-  }
-  // Intersection: the stored (greedy-chosen) leg order with live
-  // estimates, folded with the same formulas ChooseCheapest costs with.
-  plan.kind = Plan::Kind::kIndexIntersect;
-  double legs_cost =
-      CostModel::IntersectLegCost(legs[0].probes, legs[0].leg.est_rows);
-  double inter_rows = legs[0].leg.est_rows;
-  for (size_t i = 1; i < legs.size(); ++i) {
-    legs_cost +=
-        CostModel::IntersectLegCost(legs[i].probes, legs[i].leg.est_rows);
-    inter_rows = CostModel::IntersectRows(inter_rows, legs[i].leg.est_rows,
-                                          extent_rows);
-  }
-  plan.est_rows = inter_rows;
-  plan.est_cost = legs_cost + CostModel::ResidualCost(inter_rows);
-  for (Candidate& c : legs) plan.legs.push_back(std::move(c.leg));
-  return plan;
-}
-
-std::optional<Planner::PhysicalPlan> Planner::TryCachedPlan(
-    const LogicalChain& chain, const std::string& key) const {
-  PlanCache& cache = PlanCache::Global();
-  std::optional<CachedPlan> cached = cache.Lookup(key);
-  if (!cached.has_value()) {
-    cache.NoteMiss();
-    return std::nullopt;
-  }
-  bool usable = false;
-  if (std::optional<std::vector<std::uint64_t>> live =
-          LiveFingerprints(chain, *cached);
-      live.has_value() && live->size() == cached->fingerprints.size()) {
-    const double ratio = cache.drift_ratio();
-    usable = true;
-    for (size_t i = 0; i < live->size(); ++i) {
-      const double l = static_cast<double>((*live)[i]) + 1.0;
-      const double c = static_cast<double>(cached->fingerprints[i]) + 1.0;
-      if (l / c > ratio || c / l > ratio) {
-        usable = false;
-        break;
-      }
-    }
-  }
-  PhysicalPlan plan;
-  if (usable) {
-    for (size_t i = 0; i < chain.binders.size(); ++i) {
-      std::optional<Plan> select =
-          RebindSelect(chain.binders[i], cached->selects[i]);
-      if (!select.has_value()) {
-        usable = false;
-        break;
-      }
-      plan.est_cost += select->est_cost;
-      plan.selects.push_back(std::move(*select));
-    }
-  }
-  if (!usable) {
-    cache.Invalidate(key);
-    cache.NoteMiss();
-    return std::nullopt;
-  }
-  for (const LogicalSelect& b : chain.binders) {
-    plan.binders.push_back(b.binder);
-  }
-  if (chain.relationship_form()) {
-    plan.relationship_form = true;
-    plan.est_rows = plan.selects[0].est_rows;
-  } else if (chain.hops.empty()) {
-    plan.root = MakeLeaf(0, plan.selects[0].est_rows);
-    plan.est_rows = plan.selects[0].est_rows;
-  }
-  // Hop chains leave the tree null: Run() re-derives it from the actual
-  // binder sizes, exactly as it does for fresh plans — the cache's win
-  // is skipping candidate costing and the optimize-phase DP.
-  plan.from_cache = true;
-  cache.NoteHit();
-  return plan;
-}
-
-void Planner::InsertInCache(const LogicalChain& chain, const std::string& key,
-                            const PhysicalPlan& plan) const {
-  CachedPlan cached;
-  for (const Plan& select : plan.selects) {
-    CachedPlan::Select s;
-    for (const Plan::Leg& leg : select.legs) {
-      s.legs.push_back(CachedPlan::Leg{leg.index->spec(), leg.sarg_ordinal});
-    }
-    cached.selects.push_back(std::move(s));
-  }
-  std::optional<std::vector<std::uint64_t>> fingerprints =
-      LiveFingerprints(chain, cached);
-  if (!fingerprints.has_value()) return;  // an index vanished mid-planning
-  cached.fingerprints = std::move(*fingerprints);
-  PlanCache::Global().Insert(key, std::move(cached));
-}
-
-Result<Planner::PhysicalPlan> Planner::Optimize(
+Result<Planner::PhysicalPlan> Planner::PlanAccessPaths(
     const LogicalChain& chain) const {
   SEED_RETURN_IF_ERROR(chain.Validate());
   PhysicalPlan plan;
@@ -1462,18 +1183,24 @@ Result<Planner::PhysicalPlan> Planner::Optimize(
     plan.est_cost = plan.selects[0].est_cost;
     return plan;
   }
-  std::vector<double> input_rows;
   for (const LogicalSelect& b : chain.binders) {
     plan.selects.push_back(
         PlanSelect(b.cls, b.pred, b.include_specializations));
     plan.est_cost += plan.selects.back().est_cost;
-    input_rows.push_back(plan.selects.back().est_rows);
   }
   if (chain.hops.empty()) {
-    plan.root = MakeLeaf(0, input_rows[0]);
-    plan.est_rows = input_rows[0];
-    return plan;
+    plan.root = MakeLeaf(0, plan.selects[0].est_rows);
+    plan.est_rows = plan.selects[0].est_rows;
   }
+  return plan;
+}
+
+Result<Planner::PhysicalPlan> Planner::Optimize(
+    const LogicalChain& chain) const {
+  SEED_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanAccessPaths(chain));
+  if (chain.hops.empty()) return plan;
+  std::vector<double> input_rows;
+  for (const Plan& select : plan.selects) input_rows.push_back(select.est_rows);
   plan.root = OptimizeJoinTree(LowerHops(chain), input_rows);
   plan.est_rows = plan.root->est_rows;
   plan.est_cost += plan.root->est_cost;
@@ -1491,21 +1218,7 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
   PhysicalPlan plan;
   {
     obs::PhaseTimer timer(ctx, obs::QueryPhase::kOptimize);
-    // The textual hot path consults the shape-keyed plan cache first: a
-    // hit re-binds live literals into the cached skeleton and skips
-    // index selection, access-path costing and the optimize-phase DP.
-    std::string cache_key;
-    if (plan_cache_enabled_ && chain.Validate().ok()) {
-      cache_key = BuildShapeKey(chain);
-      if (std::optional<PhysicalPlan> cached =
-              TryCachedPlan(chain, cache_key)) {
-        plan = std::move(*cached);
-      }
-    }
-    if (!plan.from_cache) {
-      SEED_ASSIGN_OR_RETURN(plan, Optimize(chain));
-      if (!cache_key.empty()) InsertInCache(chain, cache_key, plan);
-    }
+    SEED_ASSIGN_OR_RETURN(plan, PlanAccessPaths(chain));
   }
   obs::PhaseTimer exec_timer(ctx, obs::QueryPhase::kExecute);
 
@@ -1566,18 +1279,17 @@ Result<Planner::ChainResult> Planner::Run(const LogicalChain& chain,
     inputs.push_back(std::move(rel));
   }
 
-  // Re-run the DP with the *actual* binder sizes, which are now known
-  // for free: a scan plan's pre-execution estimate is the whole extent
-  // regardless of predicate selectivity, and a join strategy chosen for
-  // a 100k-row estimate is badly wrong for the 3 rows a selective
-  // residual actually kept.
+  // The one join DP of this query runs inside JoinPipeline, from the
+  // *actual* binder sizes, which are now known for free: a scan plan's
+  // pre-execution estimate is the whole extent regardless of predicate
+  // selectivity, and a join strategy chosen for a 100k-row estimate is
+  // badly wrong for the 3 rows a selective residual actually kept.
   PhysicalPlan tree;
   SEED_ASSIGN_OR_RETURN(
       out.tuples, JoinPipeline(inputs, LowerHops(chain), {}, &tree, ctx));
   plan.root = std::move(tree.root);
   plan.est_rows = tree.est_rows;
-  plan.est_cost = tree.est_cost;
-  for (const Plan& select : plan.selects) plan.est_cost += select.est_cost;
+  plan.est_cost += tree.est_cost;
   if (plan_out != nullptr) *plan_out = std::move(plan);
   return out;
 }
@@ -1592,10 +1304,6 @@ Planner::Plan Planner::PlanSelectRelationships(
       static_cast<double>(db_->extent_counters().CountAssociationExtent(
           *db_->schema(), assoc, include_specializations));
   std::vector<Candidate> candidates;
-  // Ordinals over every sargable condition, as in PlanSelect: the
-  // cached-skeleton re-bind recomputes the same list from the live
-  // conditions (CollectRelSargs).
-  size_t sarg_ordinal = 0;
   for (const RelCondition& cond : conditions) {
     if (cond.inner.shape() == nullptr) continue;
     Sarg sarg;
@@ -1604,13 +1312,10 @@ Planner::Plan Planner::PlanSelectRelationships(
     if (!ExtractSarg(cond.inner.shape(), "", &sarg) || !sarg.role.empty()) {
       continue;
     }
-    const size_t ordinal = sarg_ordinal++;
     const index::AttributeIndex* idx = manager.BestForRelationships(
         *db_->schema(), assoc, include_specializations, cond.role);
     if (idx == nullptr) continue;
-    Candidate c = Candidate::FromSarg(idx, std::move(sarg));
-    c.leg.sarg_ordinal = ordinal;
-    candidates.push_back(std::move(c));
+    candidates.push_back(Candidate::FromSarg(idx, std::move(sarg)));
   }
   return ChooseCheapest(std::move(candidates), extent_rows);
 }

@@ -43,6 +43,13 @@
 // the differential tests and benches; every shape computes the same
 // relation.
 //
+// One DP per executed chain: Run plans only the binders' access paths,
+// materializes them, and lets JoinPipeline run the DP once from their
+// actual sizes. Optimize, which executes nothing, runs the same DP from
+// the access-path estimates for the pre-execution (EXPLAIN-only) tree.
+// Nothing is cached between queries: planning a chain costs less than
+// validating a cached plan against live statistics would.
+//
 // Every index plan runs a residual filter (full predicate re-eval + extent
 // check) over its candidates, so the rewrite is an optimization only:
 // results are identical to the scan path, including the paper's
@@ -53,7 +60,6 @@
 #define SEED_QUERY_PLANNER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,7 +72,6 @@
 #include "obs/trace.h"
 #include "query/algebra.h"
 #include "query/logical.h"
-#include "query/plan_cache.h"
 #include "query/predicate.h"
 
 namespace seed::query {
@@ -118,11 +123,6 @@ class Planner {
       bool hi_inclusive = true;
       /// Estimated postings this leg yields.
       double est_rows = 0.0;
-      /// Which of the binder's extracted sargable conjuncts (in
-      /// extraction order over *all* sargables, indexed or not) feeds
-      /// this leg — the literal-independent handle the plan cache uses
-      /// to re-bind live bounds/keys into a cached skeleton.
-      std::size_t sarg_ordinal = 0;
     };
 
     Kind kind = Kind::kFullScan;
@@ -256,10 +256,6 @@ class Planner {
     /// Final output estimate and total modeled cost (selects + joins).
     double est_rows = 0.0;
     double est_cost = 0.0;
-    /// True when the access paths came from the plan cache (the join
-    /// tree is always re-derived from actual binder sizes). Surfaced by
-    /// ToAnalyzeString only — the EXPLAIN golden surface is unchanged.
-    bool from_cache = false;
 
     /// True when any node in the tree is a bushy join.
     bool HasBushyJoin() const;
@@ -302,29 +298,29 @@ class Planner {
   }
   const exec::ExecPolicy& exec_policy() const { return policy_; }
 
-  /// Whether Run() consults the process-global PlanCache (on by
-  /// default). Tests and benches that need guaranteed-fresh planning
-  /// for comparison turn it off per Planner instance.
-  void set_plan_cache_enabled(bool enabled) { plan_cache_enabled_ = enabled; }
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
+  /// No-op: every query plans fresh (there is no plan cache). Kept only
+  /// because the end-to-end benchmark (seedbench/common.cc) still calls
+  /// it; delete it with that call.
+  void set_plan_cache_enabled(bool /*enabled*/) {}
 
   // --- The unified entry point -----------------------------------------------
 
-  /// Optimizes a logical chain: plans every binder's access path, then
-  /// runs the hop-bitset DP over the chain's connected subchains to pick
-  /// the cheapest join tree (hop joins and bushy tuple joins), costing
-  /// each candidate from the binder estimates, the association
-  /// populations and the tracked participation statistics. Nothing is
-  /// executed and no extent is scanned — the pre-execution view of the
-  /// plan (a scan binder's estimate is its whole extent).
+  /// Optimizes a logical chain without executing it: plans every
+  /// binder's access path, then runs the hop-bitset DP over the chain's
+  /// connected subchains to pick the cheapest join tree (hop joins and
+  /// bushy tuple joins), costing each candidate from the binder
+  /// estimates, the association populations and the tracked
+  /// participation statistics. No extent is scanned — the pre-execution
+  /// view of the plan (a scan binder's estimate is its whole extent).
+  /// Run does not call this.
   Result<PhysicalPlan> Optimize(const LogicalChain& chain) const;
 
-  /// Optimizes and executes `chain`; `plan_out` (optional) receives the
-  /// executed plan with per-node actual rows. After materializing the
-  /// binder selections, JoinPipeline re-plans the join tree from their
-  /// *actual* sizes (known for free at that point), so a selective
-  /// residual a scan estimate could not see still gets the right join
-  /// strategies.
+  /// Plans and executes `chain`; `plan_out` (optional) receives the
+  /// executed plan with per-node actual rows. Only the binders' access
+  /// paths are planned up front (the optimize phase); after
+  /// materializing them, JoinPipeline runs the join DP once from their
+  /// *actual* sizes, so a selective residual a scan estimate could not
+  /// see still gets the right join strategies.
   /// Results are identical to the brute-force reference for every chain
   /// shape and plan. `ctx` (optional) collects per-phase wall-clock and
   /// turns on per-node operator timing for EXPLAIN ANALYZE.
@@ -468,41 +464,11 @@ class Planner {
                                     const std::vector<PipelineHop>& hops,
                                     obs::ExecContext* ctx) const;
 
-  // --- Plan cache (query/plan_cache.h) ---------------------------------------
-
-  /// The chain's cache key: Database::instance_id() plus every binder's
-  /// extent/predicate *shape* (literals parameterized out) and every
-  /// hop's association/role.
-  std::string BuildShapeKey(const LogicalChain& chain) const;
-
-  /// The live statistics fingerprint sequence for `cached` against this
-  /// database, in the canonical capture order (per binder: extent
-  /// count, then each leg's index entry count; per hop: association
-  /// extent count). Nullopt when a cached index spec no longer
-  /// resolves.
-  std::optional<std::vector<std::uint64_t>> LiveFingerprints(
-      const LogicalChain& chain, const CachedPlan& cached) const;
-
-  /// Re-binds one binder's live sargable literals into a cached access
-  /// path skeleton, recomputing every estimate from live statistics
-  /// (so a rebound plan prints exactly like a fresh one while the
-  /// statistics are unchanged). Nullopt when the skeleton no longer
-  /// matches the live chain or indexes.
-  std::optional<Plan> RebindSelect(const LogicalSelect& binder,
-                                   const CachedPlan::Select& cached) const;
-
-  /// The cache hit path: lookup by `key`, validate fingerprints against
-  /// the drift ratio, re-bind every select. Counts the hit/miss and
-  /// invalidates stale entries. The returned plan has `from_cache` set
-  /// and, for hop chains, no join tree — Run() always re-derives it
-  /// from actual binder sizes.
-  std::optional<PhysicalPlan> TryCachedPlan(const LogicalChain& chain,
-                                            const std::string& key) const;
-
-  /// The miss path's second half: strips `plan` to its skeleton,
-  /// captures the statistics fingerprints and inserts under `key`.
-  void InsertInCache(const LogicalChain& chain, const std::string& key,
-                     const PhysicalPlan& plan) const;
+  /// Validates `chain` and plans every binder's access path — the part
+  /// of planning Run and Optimize share. The plan carries the selects,
+  /// binder names and their summed cost; single-binder chains also get
+  /// their leaf root and final estimate, hop chains no tree.
+  Result<PhysicalPlan> PlanAccessPaths(const LogicalChain& chain) const;
 
   /// Lowers the chain's hops into PipelineHops (binder classes attached).
   static std::vector<PipelineHop> LowerHops(const LogicalChain& chain);
@@ -528,7 +494,6 @@ class Planner {
   const core::Database* db_;
   Algebra algebra_;
   exec::ExecPolicy policy_ = exec::ExecPolicy::Default();
-  bool plan_cache_enabled_ = true;
 };
 
 }  // namespace seed::query

@@ -50,15 +50,6 @@ class Snapshot {
   std::uint64_t epoch_;
 };
 
-/// The snapshot's database as a shared pointer that keeps the whole
-/// snapshot pinned (aliasing constructor). Hand this to the query entry
-/// points' shared_ptr overloads so a running query can never outlive the
-/// frozen state it reads.
-inline std::shared_ptr<const core::Database> PinDatabase(SnapshotPtr snap) {
-  const core::Database* db = &snap->database();
-  return std::shared_ptr<const core::Database>(std::move(snap), db);
-}
-
 }  // namespace seed::version
 
 #endif  // SEED_VERSION_SNAPSHOT_H_

@@ -170,7 +170,7 @@ Result<std::vector<const VersionRecord*>> VersionManager::PathTo(
   return path;
 }
 
-Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
+Result<VersionManager::DecodedVersion> VersionManager::DecodeVersion(
     const VersionId& id) const {
   SEED_ASSIGN_OR_RETURN(auto path, PathTo(id));
 
@@ -191,24 +191,41 @@ Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
                               " missing from version store");
   }
   Decoder schema_dec(blob_it->second.data(), blob_it->second.size());
-  SEED_ASSIGN_OR_RETURN(schema::SchemaPtr schema,
-                        schema::SchemaCodec::Decode(&schema_dec));
+  DecodedVersion out;
+  SEED_ASSIGN_OR_RETURN(out.schema, schema::SchemaCodec::Decode(&schema_dec));
 
-  auto view = std::make_unique<core::Database>(schema);
   for (const auto& [key, payload] : effective) {
     if (key.kind() == ItemKey::kObject) {
       SEED_ASSIGN_OR_RETURN(core::ObjectItem obj,
                             ItemCodec::DecodeObjectFromString(*payload));
-      view->RestoreObject(std::move(obj));
+      out.objects.push_back(std::move(obj));
     } else {
       SEED_ASSIGN_OR_RETURN(
           core::RelationshipItem rel,
           ItemCodec::DecodeRelationshipFromString(*payload));
-      view->RestoreRelationship(std::move(rel));
+      out.relationships.push_back(std::move(rel));
     }
   }
-  view->RebuildIndexes();
-  view->ClearChangeTracking();
+  return out;
+}
+
+void VersionManager::RestoreVersion(DecodedVersion items,
+                                    core::Database* db) {
+  for (core::ObjectItem& obj : items.objects) {
+    db->RestoreObject(std::move(obj));
+  }
+  for (core::RelationshipItem& rel : items.relationships) {
+    db->RestoreRelationship(std::move(rel));
+  }
+  db->RebuildIndexes();
+  db->ClearChangeTracking();
+}
+
+Result<std::unique_ptr<core::Database>> VersionManager::MaterializeView(
+    const VersionId& id) const {
+  SEED_ASSIGN_OR_RETURN(DecodedVersion items, DecodeVersion(id));
+  auto view = std::make_unique<core::Database>(items.schema);
+  RestoreVersion(std::move(items), view.get());
   return view;
 }
 
@@ -233,23 +250,18 @@ Result<std::shared_ptr<const core::Database>> VersionManager::PinView(
 }
 
 Status VersionManager::SelectVersion(const VersionId& id) {
-  SEED_ASSIGN_OR_RETURN(auto view, MaterializeView(id));
+  // Every payload decodes before the working state is touched, so a
+  // Corruption leaves it exactly as it was.
+  SEED_ASSIGN_OR_RETURN(DecodedVersion items, DecodeVersion(id));
   // Replace the working state. Id watermarks must keep growing past every
   // id ever issued, so versions never collide on item ids.
   std::uint64_t next_obj = db_->object_ids().next_raw();
   std::uint64_t next_rel = db_->relationship_ids().next_raw();
-  db_->ResetSchemaTrusted(view->schema());
+  db_->ResetSchemaTrusted(items.schema);
   db_->ClearContents();
-  for (const auto& [oid, obj] : view->objects_raw()) {
-    db_->RestoreObject(obj);
-  }
-  for (const auto& [rid, rel] : view->relationships_raw()) {
-    db_->RestoreRelationship(rel);
-  }
-  db_->RebuildIndexes();
+  RestoreVersion(std::move(items), db_);
   db_->object_ids().ReserveThrough(ObjectId(next_obj - 1));
   db_->relationship_ids().ReserveThrough(RelationshipId(next_rel - 1));
-  db_->ClearChangeTracking();
   basis_ = id;
   static obs::Counter* restores = obs::MetricsRegistry::Global().GetCounter(
       "version.restores.total");

@@ -161,6 +161,23 @@ class VersionManager {
   /// Chain of records from the root to `id` (inclusive).
   Result<std::vector<const VersionRecord*>> PathTo(const VersionId& id) const;
 
+  /// The view to a version as decoded items: the greatest state of every
+  /// item on the ancestor path (tombstones included) under the schema
+  /// recorded for the version.
+  struct DecodedVersion {
+    schema::SchemaPtr schema;
+    std::vector<core::ObjectItem> objects;
+    std::vector<core::RelationshipItem> relationships;
+  };
+
+  /// Decodes every payload of the view to `id`; Corruption if any fails.
+  /// Nothing is restored anywhere until all of them decoded.
+  Result<DecodedVersion> DecodeVersion(const VersionId& id) const;
+
+  /// Restores `items` into the empty `db`, rebuilds its derived state
+  /// once and clears its change tracking.
+  static void RestoreVersion(DecodedVersion items, core::Database* db);
+
   Status FreezeAs(const VersionId& id);
 
   core::Database* db_;

@@ -287,8 +287,6 @@ TEST(ParallelExecution, BushyChainThroughRunIdenticalAcrossThreadCounts) {
 
   auto run = [&](int threads, Planner::PhysicalPlan* plan) {
     Planner planner(&db);
-    // A cache hit would mark the plan and change the rendering compared.
-    planner.set_plan_cache_enabled(false);
     ExecPolicy policy = planner.exec_policy();
     policy.threads = threads;
     policy.min_parallel_cost = 0.0;

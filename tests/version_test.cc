@@ -356,6 +356,70 @@ TEST_F(VersionTest, PersistenceRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+// SelectVersion decodes every payload of the target view before it
+// touches the working state: a version whose last item no longer decodes
+// fails with Corruption and leaves the working database, its derived
+// state and the basis exactly as they were.
+TEST_F(VersionTest, CorruptPayloadLeavesWorkingStateUntouched) {
+  static int counter = 0;
+  std::string dir = ::testing::TempDir() + "/vcorrupt." +
+                    std::to_string(::getpid()) + "." +
+                    std::to_string(counter++);
+  std::filesystem::create_directories(dir);
+
+  ObjectId a = *db_->CreateObject(ids_.action, "A");
+  ASSERT_TRUE(vm_->CreateVersion(*VersionId::Parse("1.0")).ok());
+  ASSERT_TRUE(db_->Rename(a, "A2").ok());
+  ASSERT_TRUE(db_->CreateObject(ids_.action, "B").ok());
+  ASSERT_TRUE(vm_->CreateVersion(*VersionId::Parse("2.0")).ok());
+
+  storage::KvStore kv;
+  ASSERT_TRUE(kv.Open(dir).ok());
+  ASSERT_TRUE(VersionPersistence::Save(*vm_, &kv).ok());
+  // Rewrite 2.0's record (same layout as the version store's encoder)
+  // with its last payload replaced by bytes no item decodes from; the
+  // payloads before it stay valid.
+  const VersionRecord* rec = *vm_->GetRecord(*VersionId::Parse("2.0"));
+  ASSERT_GE(rec->changes.size(), 2u);
+  Encoder enc;
+  rec->id.EncodeTo(&enc);
+  rec->parent.EncodeTo(&enc);
+  enc.PutU64(rec->sequence);
+  enc.PutU64(rec->schema_version);
+  enc.PutVarint(rec->changes.size());
+  for (const auto& [key, payload] : rec->changes) {
+    enc.PutU64(key.packed);
+    enc.PutString(key == rec->changes.rbegin()->first ? "\xff" : payload);
+  }
+  const std::string bytes(reinterpret_cast<const char*>(enc.bytes().data()),
+                          enc.size());
+  ASSERT_TRUE(kv.Put(VersionPersistence::RecordKey(rec->sequence), bytes).ok());
+  VersionManager corrupt_vm(db_.get());
+  ASSERT_TRUE(VersionPersistence::Load(&corrupt_vm, &kv).ok());
+  ASSERT_TRUE(kv.Close().ok());
+
+  // Unsaved working edits the failed selection must not discard.
+  ASSERT_TRUE(db_->Rename(a, "Working").ok());
+  const std::size_t live = db_->num_live_objects();
+  const VersionId basis = corrupt_vm.current_basis();
+
+  Status s = corrupt_vm.SelectVersion(*VersionId::Parse("2.0"));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(corrupt_vm.MaterializeView(*VersionId::Parse("2.0"))
+                  .status()
+                  .IsCorruption());
+  EXPECT_EQ(corrupt_vm.current_basis(), basis);
+  EXPECT_EQ(db_->num_live_objects(), live);
+  EXPECT_EQ(*db_->FindObjectByName("Working"), a);
+  EXPECT_TRUE(db_->FindObjectByName("B").ok());
+  EXPECT_EQ(db_->ObjectsOfClass(ids_.action).size(), 2u);
+  EXPECT_FALSE(db_->changed_objects().empty());
+  // The intact version still selects.
+  EXPECT_TRUE(corrupt_vm.SelectVersion(*VersionId::Parse("1.0")).ok());
+  EXPECT_EQ(*db_->FindObjectByName("A"), a);
+  std::filesystem::remove_all(dir);
+}
+
 // PinView is the refcounted sibling of MaterializeView: repeated pins of
 // a live version share one materialization, dropping every pin frees it,
 // and DeleteVersion invalidates the cache slot.

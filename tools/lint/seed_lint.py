@@ -41,8 +41,8 @@ import sys
 SUBSYSTEMS = (
     "core", "index", "storage", "multiuser", "version",
     "query", "algebra", "exec", "obs", "server",
-    # Statistics-v2 / plan-cache instruments (docs/metrics.md): the
-    # planner's cache counters and the estimation layer's histogram
+    # Optimizer and estimation-layer instruments (docs/metrics.md): the
+    # planner's counters and the statistics layer's histogram
     # instruments.
     "planner", "stats",
 )
