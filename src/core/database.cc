@@ -41,6 +41,16 @@ void EraseSorted(Map& map, const typename Map::key_type& key, Id id) {
   if (list.empty()) map.erase(it);
 }
 
+/// A copy of an ordered map whose nodes are allocated in key order (the
+/// copy constructor allocates in tree pre-order), so a scan of the copy
+/// walks memory the way a scan of a map filled by ascending ids does.
+template <typename Map>
+Map CopyInOrder(const Map& source) {
+  Map copy;
+  for (const auto& entry : source) copy.emplace_hint(copy.end(), entry);
+  return copy;
+}
+
 using AdjacencyMap =
     std::unordered_map<ObjectId, std::vector<RelationshipEnd>>;
 
@@ -127,6 +137,11 @@ RelationshipItem* Database::MutableRelationship(RelationshipId id) {
   return it == relationships_.end() ? nullptr : &it->second;
 }
 
+const ObjectItem* Database::LiveObject(ObjectId id) const {
+  auto it = objects_.find(id);
+  return it == objects_.end() || it->second.deleted ? nullptr : &it->second;
+}
+
 Result<const ObjectItem*> Database::GetObject(ObjectId id) const {
   auto it = objects_.find(id);
   if (it == objects_.end() || it->second.deleted) {
@@ -148,11 +163,16 @@ Result<const RelationshipItem*> Database::GetRelationship(
 
 void Database::IndexObject(const ObjectItem& obj) {
   if (obj.deleted) return;
+  // A name or child key another live item already holds keeps its holder:
+  // the twin is a consistency violation, and unindexing it (a rejected
+  // check-in's rollback) must leave the holder's entry in place.
   if (obj.is_independent()) {
-    (obj.is_pattern ? pattern_name_index_ : name_index_)[obj.name] = obj.id;
+    (obj.is_pattern ? pattern_name_index_ : name_index_)
+        .try_emplace(obj.name, obj.id);
   }
   if (obj.parent_kind == ParentKind::kObject) {
-    children_by_key_[obj.parent_object][{obj.cls.raw(), obj.index}] = obj.id;
+    children_by_key_[obj.parent_object].try_emplace(
+        {obj.cls.raw(), obj.index}, obj.id);
   }
   if (!obj.is_pattern) {
     InsertSorted(by_class_, obj.cls, obj.id);
@@ -205,11 +225,14 @@ void Database::MoveObjectClass(ObjectItem* obj, ClassId to_cls) {
   InsertSorted(by_class_, to_cls, obj->id);
   extent_counters_.RemoveObject(from_cls);
   extent_counters_.AddObject(to_cls);
-  for (const RelationshipEnd& end : AdjacencyOf(obj->id)) {
+  MoveEndClass(obj->id, from_cls, to_cls);
+}
+
+void Database::MoveEndClass(ObjectId id, ClassId from, ClassId to) {
+  for (const RelationshipEnd& end : AdjacencyOf(id)) {
     if (end.is_pattern) continue;
-    extent_counters_.RemoveParticipant(end.assoc, end.role, from_cls,
-                                       obj->id);
-    extent_counters_.AddParticipant(end.assoc, end.role, to_cls, obj->id);
+    extent_counters_.RemoveParticipant(end.assoc, end.role, from, id);
+    extent_counters_.AddParticipant(end.assoc, end.role, to, id);
   }
 }
 
@@ -308,6 +331,111 @@ void Database::RestoreRelationship(RelationshipItem item) {
   Touch(id);
 }
 
+ItemBatch ItemBatch::Of(const std::vector<ObjectItem>& objects,
+                        const std::vector<RelationshipItem>& relationships) {
+  ItemBatch batch;
+  batch.objects.reserve(objects.size());
+  for (const ObjectItem& obj : objects) batch.objects.push_back({obj.id, obj});
+  batch.relationships.reserve(relationships.size());
+  for (const RelationshipItem& rel : relationships) {
+    batch.relationships.push_back({rel.id, rel});
+  }
+  return batch;
+}
+
+ItemBatch Database::ReplaceItems(ItemBatch batch) {
+  ItemBatch before;
+  before.objects.reserve(batch.objects.size());
+  before.relationships.reserve(batch.relationships.size());
+  // Unindex the old live states, relationships first: the adjacency left
+  // at each object then holds only relationships outside the batch, whose
+  // degree statistics follow their ends' classes below.
+  for (const ItemBatch::Relationship& entry : batch.relationships) {
+    auto it = relationships_.find(entry.id);
+    std::optional<RelationshipItem> old;
+    if (it != relationships_.end()) {
+      old = it->second;
+      if (!old->deleted) UnindexRelationship(*old);
+    }
+    before.relationships.push_back({entry.id, std::move(old)});
+  }
+  for (const ItemBatch::Object& entry : batch.objects) {
+    auto it = objects_.find(entry.id);
+    std::optional<ObjectItem> old;
+    if (it != objects_.end()) {
+      old = it->second;
+      if (!old->deleted) UnindexObject(*old);
+    }
+    before.objects.push_back({entry.id, std::move(old)});
+  }
+
+  // Write the new states.
+  for (ItemBatch::Object& entry : batch.objects) {
+    const ClassId from = EndClass(entry.id);
+    if (entry.state.has_value()) {
+      objects_[entry.id] = std::move(*entry.state);
+      object_ids_.ReserveThrough(entry.id);
+    } else {
+      objects_.erase(entry.id);
+    }
+    const ClassId to = EndClass(entry.id);
+    if (from != to) MoveEndClass(entry.id, from, to);
+    Touch(entry.id);
+  }
+  for (ItemBatch::Relationship& entry : batch.relationships) {
+    if (entry.state.has_value()) {
+      relationships_[entry.id] = std::move(*entry.state);
+      relationship_ids_.ReserveThrough(entry.id);
+    } else {
+      relationships_.erase(entry.id);
+    }
+    Touch(entry.id);
+  }
+
+  // Index the new live states.
+  for (const ItemBatch::Object& entry : batch.objects) {
+    auto it = objects_.find(entry.id);
+    if (it != objects_.end()) IndexObject(it->second);
+  }
+  for (const ItemBatch::Relationship& entry : batch.relationships) {
+    auto it = relationships_.find(entry.id);
+    if (it != relationships_.end()) IndexRelationship(it->second);
+  }
+
+  // Attribute-index entries derive from an item's own state and its
+  // children's values: refresh each item and its old and new owner.
+  for (const ItemBatch::Object& entry : before.objects) {
+    RefreshAttrIndexes(entry.id);
+    RefreshAttrIndexParentOf(entry.id);
+    if (entry.state.has_value()) RefreshAttrIndexOwner(*entry.state);
+  }
+  for (const ItemBatch::Relationship& entry : before.relationships) {
+    RefreshRelAttrIndexes(entry.id);
+  }
+  return before;
+}
+
+std::unique_ptr<Database> Database::Clone() const {
+  return std::unique_ptr<Database>(new Database(*this));
+}
+
+Database::Database(const Database& other)
+    : schema_(other.schema_),
+      objects_(CopyInOrder(other.objects_)),
+      relationships_(CopyInOrder(other.relationships_)),
+      object_ids_(other.object_ids_),
+      relationship_ids_(other.relationship_ids_),
+      name_index_(other.name_index_),
+      pattern_name_index_(other.pattern_name_index_),
+      by_class_(other.by_class_),
+      by_assoc_(other.by_assoc_),
+      rels_by_object_(other.rels_by_object_),
+      children_by_key_(other.children_by_key_),
+      attr_indexes_(other.attr_indexes_),
+      extent_counters_(other.extent_counters_),
+      live_objects_(other.live_objects_),
+      live_relationships_(other.live_relationships_) {}
+
 // --- Secondary attribute indexes ---------------------------------------------
 
 Status Database::CreateAttributeIndex(index::IndexSpec spec) {
@@ -339,14 +467,17 @@ void Database::RefreshAttrIndexesWithParent(ObjectId id) {
 void Database::RefreshAttrIndexParentOf(ObjectId id) {
   if (attr_indexes_.empty()) return;
   auto it = objects_.find(id);
-  if (it == objects_.end()) return;
-  if (it->second.parent_kind == ParentKind::kObject) {
-    attr_indexes_.RefreshObject(*schema_, objects_,
-                                it->second.parent_object);
-  } else if (it->second.parent_kind == ParentKind::kRelationship) {
+  if (it != objects_.end()) RefreshAttrIndexOwner(it->second);
+}
+
+void Database::RefreshAttrIndexOwner(const ObjectItem& item) {
+  if (attr_indexes_.empty()) return;
+  if (item.parent_kind == ParentKind::kObject) {
+    attr_indexes_.RefreshObject(*schema_, objects_, item.parent_object);
+  } else if (item.parent_kind == ParentKind::kRelationship) {
     // Relationship attribute: the owning relationship's index entries
     // derive from this sub-object's value.
-    RefreshRelAttrIndexes(it->second.parent_relationship);
+    RefreshRelAttrIndexes(item.parent_relationship);
   }
 }
 
@@ -603,7 +734,7 @@ Status Database::DeleteObject(ObjectId root_id) {
     objs.push_back(oid);
     const ObjectItem& obj = objects_.at(oid);
     for (ObjectId child : obj.children) {
-      if (!objects_.at(child).deleted && obj_seen.insert(child).second) {
+      if (LiveObject(child) != nullptr && obj_seen.insert(child).second) {
         work.push_back(child);
       }
     }
@@ -612,7 +743,7 @@ Status Database::DeleteObject(ObjectId root_id) {
       if (!rel_seen.insert(rid).second) continue;
       rels.push_back(rid);
       for (ObjectId attr : relationships_.at(rid).children) {
-        if (!objects_.at(attr).deleted && obj_seen.insert(attr).second) {
+        if (LiveObject(attr) != nullptr && obj_seen.insert(attr).second) {
           work.push_back(attr);
         }
       }
@@ -673,10 +804,10 @@ Status Database::DeleteRelationship(RelationshipId rel_id) {
   while (!work.empty()) {
     ObjectId oid = work.back();
     work.pop_back();
-    const ObjectItem& obj = objects_.at(oid);
-    if (obj.deleted) continue;
+    const ObjectItem* obj = LiveObject(oid);
+    if (obj == nullptr) continue;
     objs.push_back(oid);
-    work.insert(work.end(), obj.children.begin(), obj.children.end());
+    work.insert(work.end(), obj->children.begin(), obj->children.end());
   }
   for (ObjectId oid : objs) {
     ObjectItem& obj = objects_.at(oid);
@@ -744,9 +875,9 @@ Status Database::Reclassify(ObjectId obj_id, ClassId new_cls) {
     // Sub-objects must keep a resolvable role: each child's class must be
     // declared on the new class or one of its generalization ancestors.
     for (ObjectId child_id : obj->children) {
-      const ObjectItem& child = objects_.at(child_id);
-      if (child.deleted) continue;
-      auto child_cls = schema_->GetClass(child.cls);
+      const ObjectItem* child = LiveObject(child_id);
+      if (child == nullptr) continue;
+      auto child_cls = schema_->GetClass(child->cls);
       if (!child_cls.ok()) continue;
       if ((*child_cls)->owner.kind != schema::OwnerKind::kClass ||
           !schema_->IsSameOrSpecializationOf(
@@ -903,9 +1034,9 @@ Status Database::ReclassifyRelationship(RelationshipId rel_id,
     }
     // Attribute children must keep a resolvable role on the new chain.
     for (ObjectId child_id : rel->children) {
-      const ObjectItem& child = objects_.at(child_id);
-      if (child.deleted) continue;
-      auto child_cls = schema_->GetClass(child.cls);
+      const ObjectItem* child = LiveObject(child_id);
+      if (child == nullptr) continue;
+      auto child_cls = schema_->GetClass(child->cls);
       if (!child_cls.ok()) continue;
       if ((*child_cls)->owner.kind != schema::OwnerKind::kAssociation ||
           !schema_->IsSameOrSpecializationOf(

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -85,6 +86,26 @@ struct RelationshipEnd {
   bool operator==(const RelationshipEnd&) const = default;
 };
 
+/// Whole-item states for Database::ReplaceItems. Each entry names one
+/// item and carries its complete new state, or no state to remove the
+/// item physically (undoing its creation). An id appears at most once.
+struct ItemBatch {
+  struct Object {
+    ObjectId id;
+    std::optional<ObjectItem> state;
+  };
+  struct Relationship {
+    RelationshipId id;
+    std::optional<RelationshipItem> state;
+  };
+  std::vector<Object> objects;
+  std::vector<Relationship> relationships;
+
+  /// Every item given, as its new state.
+  static ItemBatch Of(const std::vector<ObjectItem>& objects,
+                      const std::vector<RelationshipItem>& relationships);
+};
+
 /// Options for item creation.
 struct CreateOptions {
   /// Create the item as a pattern: exempt from consistency checks and
@@ -96,7 +117,6 @@ class Database {
  public:
   explicit Database(schema::SchemaPtr schema);
 
-  Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
@@ -281,6 +301,17 @@ class Database {
   /// any sequence of accepted updates; exposed for tests and recovery.
   Report AuditConsistency() const;
 
+  /// Consistency audit of one ReplaceItems change, given the batch it
+  /// returned (the items' previous states). Checks every rule of
+  /// AuditConsistency, but only over the change's neighbourhood: the
+  /// replaced items, their parents and children before and after, the
+  /// relationships adjacent to replaced objects with their attributes,
+  /// and the participants of replaced relationships. ACYCLIC searches
+  /// only for cycles through replaced relationships. Valid when the
+  /// database was consistent before the change; then it is clean exactly
+  /// when AuditConsistency() is.
+  Report AuditChange(const ItemBatch& before) const;
+
   /// Explicit completeness check (minimum cardinalities, covering
   /// conditions, undefined values). Reports, never vetoes.
   Report CheckCompleteness() const;
@@ -324,24 +355,35 @@ class Database {
     return relationships_;
   }
 
-  /// Restores a full item state (used by version-view materialization and
-  /// multiuser check-in). Bypasses consistency checks; callers are trusted
-  /// layers that re-audit afterwards.
+  /// Restores a full item state without touching any derived structure
+  /// (bulk loaders: persistence load, version decoding). Bypasses
+  /// consistency checks; call RebuildIndexes() after the batch.
   void RestoreObject(ObjectItem item);
   void RestoreRelationship(RelationshipItem item);
   /// Re-derives every index after a batch of Restore* calls.
   void RebuildIndexes();
 
+  /// Replaces the whole state of every item in `batch` in one step and
+  /// keeps every derived structure current at the cost of the batch:
+  /// unindexes the items' old live states, writes the new states, indexes
+  /// the new live states, moves the degree statistics of an object whose
+  /// class changed, and refreshes the attribute-index entries of each item
+  /// and of its old and new owner. The result equals RestoreObject /
+  /// RestoreRelationship of the same states followed by RebuildIndexes().
+  /// Trusted: no consistency check runs (audit with AuditChange). Returns
+  /// the inverse batch — the previous states, no state for an item that
+  /// did not exist — so ReplaceItems(returned batch) undoes the change.
+  ItemBatch ReplaceItems(ItemBatch batch);
+
+  /// A structural copy of the items and of every derived structure
+  /// (retrieval maps, extent counters, attribute-index entries), copied
+  /// flat rather than re-derived. Attached procedures and change tracking
+  /// are not copied.
+  std::unique_ptr<Database> Clone() const;
+
   /// Drops all items and indexes but keeps the schema, attached procedures
   /// and id watermarks (ids are never reused across version selection).
   void ClearContents();
-
-  /// Physically removes an item (trusted; used by the multiuser layer to
-  /// roll back a rejected check-in). Call RebuildIndexes() afterwards.
-  void EraseObjectTrusted(ObjectId id) { objects_.erase(id); }
-  void EraseRelationshipTrusted(RelationshipId id) {
-    relationships_.erase(id);
-  }
 
   /// Trusted schema swap without a consistency audit; used by the version
   /// layer when materializing views under historical schema versions.
@@ -354,6 +396,18 @@ class Database {
   }
 
  private:
+  /// Clone()'s flat copy.
+  Database(const Database& other);
+
+  // -- Audit rules over one item (database_checks.cc); the full and the
+  //    scoped audit share them. Name uniqueness is checked by the callers.
+  void AuditObject(const ObjectItem& obj, Report* report) const;
+  void AuditRelationship(const RelationshipItem& rel, Report* report) const;
+  /// Maximum participation of `obj` in `role` of association `a`.
+  void AuditParticipation(ObjectId obj, AssociationId a, int role,
+                          const schema::Association& info,
+                          Report* report) const;
+
   // -- Incremental consistency helpers (database_checks.cc) --
   Status CheckIndependentName(const std::string& name, bool pattern,
                               ObjectId ignore) const;
@@ -403,6 +457,9 @@ class Database {
   /// together with the degree statistics of every live non-pattern
   /// relationship end it fills (object reclassify and its veto rollback).
   void MoveObjectClass(ObjectItem* obj, ClassId to_cls);
+  /// Moves the degree statistics of every indexed non-pattern
+  /// relationship end `id` fills from class `from` to class `to`.
+  void MoveEndClass(ObjectId id, ClassId from, ClassId to);
   /// Re-indexes `rel` under `to_assoc` (relationship reclassify and its
   /// veto rollback).
   void MoveRelationshipAssociation(RelationshipItem* rel,
@@ -414,15 +471,21 @@ class Database {
   /// when `id` is a dependent sub-object, since the parent's role-keyed
   /// entries derive from its children's values; ParentOf refreshes only
   /// that owner — the owning object, or the owning *relationship* when the
-  /// sub-object is a relationship attribute. RefreshRelAttrIndexes is the
+  /// sub-object is a relationship attribute; Owner does the same for a
+  /// given item state. RefreshRelAttrIndexes is the
   /// relationship-extent hook (create/delete/reclassify/rollback paths).
   void RefreshAttrIndexes(ObjectId id);
   void RefreshAttrIndexesWithParent(ObjectId id);
   void RefreshAttrIndexParentOf(ObjectId id);
+  void RefreshAttrIndexOwner(const ObjectItem& item);
   void RefreshRelAttrIndexes(RelationshipId id);
 
   ObjectItem* MutableObject(ObjectId id);
   RelationshipItem* MutableRelationship(RelationshipId id);
+  /// The live object `id`, or null when it is tombstoned or absent. A
+  /// child list may name ids the database does not hold: a checked-out
+  /// workspace receives subtrees without their tombstones.
+  const ObjectItem* LiveObject(ObjectId id) const;
 
   Result<ObjectId> CreateSubObjectImpl(ParentKind kind, ObjectId pobj,
                                        RelationshipId prel,

@@ -3,7 +3,9 @@
 // Consistency rules (class membership, maximum cardinalities, ACYCLIC,
 // attached procedures, value types, duplicates, names) run incrementally
 // inside every mutating operation; AuditConsistency() re-derives all of
-// them from scratch for tests, recovery and schema migration.
+// them from scratch for tests, recovery and schema migration, and
+// AuditChange() re-derives them over the neighbourhood of one trusted
+// ReplaceItems change (the multiuser check-in).
 //
 // Completeness rules (minimum cardinalities, covering conditions,
 // undefined values) are evaluated only by the explicit CheckCompleteness()
@@ -60,8 +62,8 @@ size_t Database::CountChildrenOfClass(const std::vector<ObjectId>& children,
                                       ClassId cls) const {
   size_t n = 0;
   for (ObjectId id : children) {
-    const ObjectItem& child = objects_.at(id);
-    if (!child.deleted && child.cls == cls) ++n;
+    const ObjectItem* child = LiveObject(id);
+    if (child != nullptr && child->cls == cls) ++n;
   }
   return n;
 }
@@ -70,9 +72,9 @@ std::uint32_t Database::NextChildIndex(const std::vector<ObjectId>& children,
                                        ClassId cls) const {
   std::uint32_t next = 0;
   for (ObjectId id : children) {
-    const ObjectItem& child = objects_.at(id);
-    if (!child.deleted && child.cls == cls && child.index >= next) {
-      next = child.index + 1;
+    const ObjectItem* child = LiveObject(id);
+    if (child != nullptr && child->cls == cls && child->index >= next) {
+      next = child->index + 1;
     }
   }
   return next;
@@ -192,119 +194,142 @@ Status Database::RunProcedures(AssociationId assoc,
   return Status::OK();
 }
 
-// --- Full consistency audit --------------------------------------------------
+// --- Consistency audits -----------------------------------------------------
+
+void Database::AuditObject(const ObjectItem& obj, Report* report) const {
+  auto add = [&](Rule rule, std::string detail) {
+    report->violations.push_back(
+        Violation{rule, obj.id, RelationshipId(), std::move(detail)});
+  };
+  const ObjectId id = obj.id;
+  auto cls = schema_->GetClass(obj.cls);
+  if (!cls.ok()) {
+    add(Rule::kClassMembership, "object '" + FullName(id) +
+                                    "' has unknown class id " +
+                                    std::to_string(obj.cls.raw()));
+    return;
+  }
+  if (obj.is_independent()) {
+    if ((*cls)->is_dependent()) {
+      add(Rule::kClassMembership, "independent object '" + obj.name +
+                                      "' has dependent class '" +
+                                      (*cls)->full_name + "'");
+    }
+  } else if (obj.parent_kind == ParentKind::kObject) {
+    auto parent_it = objects_.find(obj.parent_object);
+    if (parent_it == objects_.end() || parent_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "sub-object '" + FullName(id) + "' has no live parent");
+    } else {
+      auto resolved = schema_->ResolveSubObjectRole(parent_it->second.cls,
+                                                    (*cls)->name);
+      if (!resolved.ok() || *resolved != obj.cls) {
+        add(Rule::kClassMembership,
+            "sub-object '" + FullName(id) +
+                "' is not a legal role of its parent's class");
+      }
+    }
+  } else {
+    auto parent_it = relationships_.find(obj.parent_relationship);
+    if (parent_it == relationships_.end() || parent_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "attribute '" + FullName(id) + "' has no live relationship");
+    } else {
+      auto resolved = schema_->ResolveSubObjectRole(parent_it->second.assoc,
+                                                    (*cls)->name);
+      if (!resolved.ok() || *resolved != obj.cls) {
+        add(Rule::kClassMembership,
+            "attribute '" + FullName(id) +
+                "' is not a legal role of its relationship's association");
+      }
+    }
+  }
+  // Maximum cardinality over each dependent role.
+  for (ClassId dep : schema_->EffectiveDependentClassesOf(obj.cls)) {
+    auto dep_cls = schema_->GetClass(dep);
+    if (!(*dep_cls)->cardinality.unlimited_max()) {
+      size_t count = CountChildrenOfClass(obj.children, dep);
+      if (count > (*dep_cls)->cardinality.max) {
+        add(Rule::kMaxCardinality,
+            "object '" + FullName(id) + "' has " + std::to_string(count) +
+                " sub-objects in role '" + (*dep_cls)->full_name +
+                "' (max " + (*dep_cls)->cardinality.ToString() + ")");
+      }
+    }
+  }
+  Status vs = CheckValueConforms(**cls, obj.value);
+  if (!vs.ok()) add(Rule::kValueType, vs.message());
+}
+
+void Database::AuditRelationship(const RelationshipItem& rel,
+                                 Report* report) const {
+  auto add = [&](Rule rule, std::string detail) {
+    report->violations.push_back(
+        Violation{rule, ObjectId(), rel.id, std::move(detail)});
+  };
+  auto assoc = schema_->GetAssociation(rel.assoc);
+  if (!assoc.ok()) {
+    add(Rule::kClassMembership, "relationship has unknown association id " +
+                                    std::to_string(rel.assoc.raw()));
+    return;
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto end_it = objects_.find(rel.ends[i]);
+    if (end_it == objects_.end() || end_it->second.deleted) {
+      add(Rule::kClassMembership,
+          "relationship of '" + (*assoc)->name + "' has a dead end");
+      continue;
+    }
+    if (end_it->second.is_pattern) {
+      add(Rule::kPatternSeparation, "normal relationship of '" +
+                                        (*assoc)->name +
+                                        "' connects a pattern object");
+    }
+    if (!schema_->IsSameOrSpecializationOf(end_it->second.cls,
+                                           (*assoc)->roles[i].target)) {
+      add(Rule::kClassMembership,
+          "participant '" + FullName(rel.ends[i]) +
+              "' does not conform to role '" + (*assoc)->roles[i].name +
+              "' of '" + (*assoc)->name + "'");
+    }
+  }
+  if (DuplicateExists(rel.assoc, rel.ends[0], rel.ends[1], rel.id)) {
+    add(Rule::kDuplicateRelationship,
+        "duplicate relationship of '" + (*assoc)->name + "'");
+  }
+}
+
+void Database::AuditParticipation(ObjectId obj, AssociationId a, int role,
+                                  const schema::Association& info,
+                                  Report* report) const {
+  const schema::Role& r = info.roles[role];
+  size_t count = CountParticipation(obj, a, role);
+  if (count > r.cardinality.max) {
+    report->violations.push_back(Violation{
+        Rule::kRoleMaxParticipation, obj, RelationshipId(),
+        "object '" + FullName(obj) + "' takes part in " +
+            std::to_string(count) + " relationships of '" + info.name +
+            "' as '" + r.name + "' (max " + r.cardinality.ToString() + ")"});
+  }
+}
 
 Report Database::AuditConsistency() const {
   Report report;
-  auto add = [&report](Rule rule, ObjectId obj, RelationshipId rel,
-                       std::string detail) {
-    report.violations.push_back(
-        Violation{rule, obj, rel, std::move(detail)});
-  };
-
   std::unordered_map<std::string, ObjectId> names;
   for (const auto& [id, obj] : objects_) {
     if (obj.deleted || obj.is_pattern) continue;
-    auto cls = schema_->GetClass(obj.cls);
-    if (!cls.ok()) {
-      add(Rule::kClassMembership, id, RelationshipId(),
-          "object '" + FullName(id) + "' has unknown class id " +
-              std::to_string(obj.cls.raw()));
-      continue;
-    }
-    if (obj.is_independent()) {
-      if ((*cls)->is_dependent()) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "independent object '" + obj.name + "' has dependent class '" +
-                (*cls)->full_name + "'");
-      }
-      auto [it, inserted] = names.emplace(obj.name, id);
-      if (!inserted) {
-        add(Rule::kNameConflict, id, RelationshipId(),
-            "duplicate independent name '" + obj.name + "'");
-      }
-    } else if (obj.parent_kind == ParentKind::kObject) {
-      auto parent_it = objects_.find(obj.parent_object);
-      if (parent_it == objects_.end() || parent_it->second.deleted) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "sub-object '" + FullName(id) + "' has no live parent");
-      } else {
-        auto resolved = schema_->ResolveSubObjectRole(
-            parent_it->second.cls, (*cls)->name);
-        if (!resolved.ok() || *resolved != obj.cls) {
-          add(Rule::kClassMembership, id, RelationshipId(),
-              "sub-object '" + FullName(id) +
-                  "' is not a legal role of its parent's class");
-        }
-      }
-    } else {
-      auto parent_it = relationships_.find(obj.parent_relationship);
-      if (parent_it == relationships_.end() || parent_it->second.deleted) {
-        add(Rule::kClassMembership, id, RelationshipId(),
-            "attribute '" + FullName(id) + "' has no live relationship");
-      } else {
-        auto resolved = schema_->ResolveSubObjectRole(
-            parent_it->second.assoc, (*cls)->name);
-        if (!resolved.ok() || *resolved != obj.cls) {
-          add(Rule::kClassMembership, id, RelationshipId(),
-              "attribute '" + FullName(id) +
-                  "' is not a legal role of its relationship's association");
-        }
-      }
-    }
-    // Maximum cardinality over each dependent role.
-    for (ClassId dep :
-         schema_->EffectiveDependentClassesOf(obj.cls)) {
-      auto dep_cls = schema_->GetClass(dep);
-      if (!(*dep_cls)->cardinality.unlimited_max()) {
-        size_t count = CountChildrenOfClass(obj.children, dep);
-        if (count > (*dep_cls)->cardinality.max) {
-          add(Rule::kMaxCardinality, id, RelationshipId(),
-              "object '" + FullName(id) + "' has " + std::to_string(count) +
-                  " sub-objects in role '" + (*dep_cls)->full_name +
-                  "' (max " + (*dep_cls)->cardinality.ToString() + ")");
-        }
-      }
-    }
-    Status vs = CheckValueConforms(**cls, obj.value);
-    if (!vs.ok()) {
-      add(Rule::kValueType, id, RelationshipId(), vs.message());
+    AuditObject(obj, &report);
+    if (obj.is_independent() && schema_->GetClass(obj.cls).ok() &&
+        !names.emplace(obj.name, id).second) {
+      report.violations.push_back(
+          Violation{Rule::kNameConflict, id, RelationshipId(),
+                    "duplicate independent name '" + obj.name + "'"});
     }
   }
 
   for (const auto& [id, rel] : relationships_) {
     if (rel.deleted || rel.is_pattern) continue;
-    auto assoc = schema_->GetAssociation(rel.assoc);
-    if (!assoc.ok()) {
-      add(Rule::kClassMembership, ObjectId(), id,
-          "relationship has unknown association id " +
-              std::to_string(rel.assoc.raw()));
-      continue;
-    }
-    for (int i = 0; i < 2; ++i) {
-      auto end_it = objects_.find(rel.ends[i]);
-      if (end_it == objects_.end() || end_it->second.deleted) {
-        add(Rule::kClassMembership, ObjectId(), id,
-            "relationship of '" + (*assoc)->name + "' has a dead end");
-        continue;
-      }
-      if (end_it->second.is_pattern) {
-        add(Rule::kPatternSeparation, ObjectId(), id,
-            "normal relationship of '" + (*assoc)->name +
-                "' connects a pattern object");
-      }
-      if (!schema_->IsSameOrSpecializationOf(end_it->second.cls,
-                                             (*assoc)->roles[i].target)) {
-        add(Rule::kClassMembership, ObjectId(), id,
-            "participant '" + FullName(rel.ends[i]) +
-                "' does not conform to role '" + (*assoc)->roles[i].name +
-                "' of '" + (*assoc)->name + "'");
-      }
-    }
-    if (DuplicateExists(rel.assoc, rel.ends[0], rel.ends[1], id)) {
-      add(Rule::kDuplicateRelationship, ObjectId(), id,
-          "duplicate relationship of '" + (*assoc)->name + "'");
-    }
+    AuditRelationship(rel, &report);
   }
 
   // Maximum role participation, per association and live object.
@@ -314,14 +339,7 @@ Report Database::AuditConsistency() const {
       const schema::Role& role = (*info)->roles[i];
       if (role.cardinality.unlimited_max()) continue;
       for (ObjectId obj : ObjectsOfClass(role.target, true)) {
-        size_t count = CountParticipation(obj, a, i);
-        if (count > role.cardinality.max) {
-          add(Rule::kRoleMaxParticipation, obj, RelationshipId(),
-              "object '" + FullName(obj) + "' takes part in " +
-                  std::to_string(count) + " relationships of '" +
-                  (*info)->name + "' as '" + role.name + "' (max " +
-                  role.cardinality.ToString() + ")");
-        }
+        AuditParticipation(obj, a, i, **info, &report);
       }
     }
   }
@@ -358,8 +376,116 @@ Report Database::AuditConsistency() const {
       }
     }
     if (visited_edges != num_edges) {
-      add(Rule::kAcyclic, ObjectId(), RelationshipId(),
-          "association '" + (*info)->name + "' contains a cycle");
+      report.violations.push_back(
+          Violation{Rule::kAcyclic, ObjectId(), RelationshipId(),
+                    "association '" + (*info)->name + "' contains a cycle"});
+    }
+  }
+  return report;
+}
+
+Report Database::AuditChange(const ItemBatch& before) const {
+  // The neighbourhood whose rules the change can have broken.
+  std::unordered_set<ObjectId> objects;        // object rules
+  std::unordered_set<RelationshipId> rels;     // relationship rules
+  std::unordered_set<ObjectId> participants;   // role participation
+  auto add_family = [&](const ObjectItem& obj) {
+    objects.insert(obj.children.begin(), obj.children.end());
+    if (obj.parent_kind == ParentKind::kObject) {
+      objects.insert(obj.parent_object);
+    } else if (obj.parent_kind == ParentKind::kRelationship) {
+      rels.insert(obj.parent_relationship);
+    }
+  };
+  for (const ItemBatch::Object& entry : before.objects) {
+    objects.insert(entry.id);
+    participants.insert(entry.id);
+    if (entry.state.has_value()) add_family(*entry.state);
+    auto it = objects_.find(entry.id);
+    if (it != objects_.end()) add_family(it->second);
+    for (const RelationshipEnd& end : AdjacencyOf(entry.id)) {
+      rels.insert(end.rel);
+    }
+  }
+  std::vector<const RelationshipItem*> edges;  // for ACYCLIC
+  auto add_relationship = [&](const RelationshipItem& rel) {
+    objects.insert(rel.children.begin(), rel.children.end());
+    participants.insert(rel.ends[0]);
+    participants.insert(rel.ends[1]);
+  };
+  for (const ItemBatch::Relationship& entry : before.relationships) {
+    rels.insert(entry.id);
+    if (entry.state.has_value()) add_relationship(*entry.state);
+    auto it = relationships_.find(entry.id);
+    if (it == relationships_.end()) continue;
+    add_relationship(it->second);
+    if (!it->second.deleted && !it->second.is_pattern) {
+      edges.push_back(&it->second);
+    }
+  }
+  // Attributes of every relationship in scope.
+  for (RelationshipId rid : rels) {
+    auto it = relationships_.find(rid);
+    if (it != relationships_.end()) {
+      objects.insert(it->second.children.begin(), it->second.children.end());
+    }
+  }
+
+  Report report;
+  for (ObjectId id : objects) {
+    auto it = objects_.find(id);
+    if (it == objects_.end() || it->second.deleted || it->second.is_pattern) {
+      continue;
+    }
+    const ObjectItem& obj = it->second;
+    AuditObject(obj, &report);
+    // The name index keeps the first live holder of a name, so any twin
+    // finds another id there.
+    if (obj.is_independent() && schema_->GetClass(obj.cls).ok()) {
+      auto name_it = name_index_.find(obj.name);
+      if (name_it == name_index_.end() || name_it->second != id) {
+        report.violations.push_back(
+            Violation{Rule::kNameConflict, id, RelationshipId(),
+                      "duplicate independent name '" + obj.name + "'"});
+      }
+    }
+  }
+  for (RelationshipId rid : rels) {
+    auto it = relationships_.find(rid);
+    if (it != relationships_.end() && !it->second.deleted &&
+        !it->second.is_pattern) {
+      AuditRelationship(it->second, &report);
+    }
+  }
+  for (ObjectId id : participants) {
+    auto it = objects_.find(id);
+    if (it == objects_.end() || it->second.deleted || it->second.is_pattern) {
+      continue;
+    }
+    for (AssociationId a : schema_->AllAssociationIds()) {
+      auto info = schema_->GetAssociation(a);
+      for (int i = 0; i < 2; ++i) {
+        const schema::Role& role = (*info)->roles[i];
+        if (role.cardinality.unlimited_max() ||
+            !schema_->IsSameOrSpecializationOf(it->second.cls, role.target)) {
+          continue;
+        }
+        AuditParticipation(id, a, i, **info, &report);
+      }
+    }
+  }
+  // The database was acyclic before the change and removing edges cannot
+  // close a cycle, so any cycle now runs through a replaced relationship.
+  for (const RelationshipItem* rel : edges) {
+    for (AssociationId a : schema_->GeneralizationChain(rel->assoc)) {
+      auto info = schema_->GetAssociation(a);
+      if (!info.ok() || !(*info)->acyclic) continue;
+      if (WouldCreateCycle(a, rel->ends[0], rel->ends[1], rel->id)) {
+        report.violations.push_back(
+            Violation{Rule::kAcyclic, ObjectId(), rel->id,
+                      "association '" + (*info)->name +
+                          "' contains a cycle"});
+      }
     }
   }
   return report;
@@ -471,10 +597,10 @@ Report Database::CheckCompleteness(ObjectId root) const {
   while (!work.empty()) {
     ObjectId oid = work.back();
     work.pop_back();
-    const ObjectItem& obj = objects_.at(oid);
-    if (obj.deleted || obj.is_pattern) continue;
-    CheckObjectCompleteness(obj, &report);
-    work.insert(work.end(), obj.children.begin(), obj.children.end());
+    const ObjectItem* obj = LiveObject(oid);
+    if (obj == nullptr || obj->is_pattern) continue;
+    CheckObjectCompleteness(*obj, &report);
+    work.insert(work.end(), obj->children.begin(), obj->children.end());
   }
   return report;
 }

@@ -6,7 +6,8 @@
 // points that keep its name/class/association maps current (IndexObject /
 // UnindexObject and the relationship twins), so the counts are exact at
 // all times: after create, delete cascade, reclassify, veto rollback,
-// version restore and persistence load (the bulk paths go through
+// check-in apply and rollback (Database::ReplaceItems), version restore
+// and persistence load (the bulk paths go through
 // Database::RebuildIndexes, which re-derives the counters the same way it
 // re-derives the maps). Pattern items are excluded — they are invisible
 // to the query layer's extents.
@@ -95,6 +96,10 @@ class ExtentCounters {
                             AssociationId assoc, int role, ClassId cls,
                             bool include_specializations = true) const;
 
+  /// Exact equality of every count and degree cell (incremental
+  /// maintenance == recount, checked by the differential tests).
+  bool operator==(const ExtentCounters&) const = default;
+
  private:
   /// Per-(assoc, role, class) degree histogram: the exact per-object end
   /// count plus log2 buckets over it (buckets[i] counts objects with
@@ -104,6 +109,7 @@ class ExtentCounters {
     std::unordered_map<ObjectId, size_t> degree;
     std::array<size_t, 64> buckets{};
     size_t ends = 0;
+    bool operator==(const DegreeDist&) const = default;
   };
 
   std::unordered_map<ClassId, size_t> classes_;

@@ -49,6 +49,19 @@ std::string IndexSpec::ToString() const {
   return s;
 }
 
+AttributeIndex::AttributeIndex(const AttributeIndex& other)
+    : spec_(other.spec_),
+      keys_of_(other.keys_of_),
+      num_entries_(other.num_entries_),
+      mutations_(other.mutations_) {
+  // Postings are inserted in key order, so range scans of the copy walk
+  // nodes allocated in sequence.
+  hash_.reserve(other.ordered_.size());
+  for (const auto& [key, ids] : other.ordered_) {
+    hash_.emplace(key, ordered_.emplace_hint(ordered_.end(), key, ids));
+  }
+}
+
 void AttributeIndex::Insert(const core::Value& key, EntryId id) {
   auto it = hash_.find(key);
   if (it == hash_.end()) {

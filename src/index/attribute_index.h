@@ -81,6 +81,11 @@ class AttributeIndex {
  public:
   explicit AttributeIndex(IndexSpec spec) : spec_(std::move(spec)) {}
 
+  /// A copy of the postings. The equality map points into `ordered_`, so
+  /// it is re-derived rather than copied; the histogram starts unbuilt.
+  AttributeIndex(const AttributeIndex& other);
+  AttributeIndex& operator=(const AttributeIndex&) = delete;
+
   const IndexSpec& spec() const { return spec_; }
 
   /// Declares the complete key set of `id` (deduplicated internally);

@@ -37,6 +37,15 @@ std::vector<core::Value> CollectRoleKeys(
 
 }  // namespace
 
+IndexManager::IndexManager(const IndexManager& other)
+    : num_rel_indexes_(other.num_rel_indexes_),
+      specs_dirty_(other.specs_dirty_) {
+  indexes_.reserve(other.indexes_.size());
+  for (const auto& idx : other.indexes_) {
+    indexes_.push_back(std::make_unique<AttributeIndex>(*idx));
+  }
+}
+
 Status IndexManager::ValidateSpec(const schema::Schema& schema,
                                   const IndexSpec& spec) {
   if (spec.on_relationships()) {

@@ -44,6 +44,13 @@ class IndexManager {
   using ObjectMap = std::map<ObjectId, core::ObjectItem>;
   using RelationshipMap = std::map<RelationshipId, core::RelationshipItem>;
 
+  IndexManager() = default;
+  /// Copies every index with its entries (Database::Clone).
+  IndexManager(const IndexManager& other);
+  IndexManager& operator=(const IndexManager&) = delete;
+  IndexManager(IndexManager&&) = default;
+  IndexManager& operator=(IndexManager&&) = default;
+
   /// Fails when the class/association is unknown, when a non-empty role
   /// does not resolve on it under `schema`, or when a relationship spec
   /// has no role (relationships carry no own value to index).

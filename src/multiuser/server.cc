@@ -35,11 +35,35 @@ void CountSnapshotPin() {
       "server.snapshot.pins.total");
   pins->Increment();
 }
+
+/// Latency of the check-in stages under the master mutex, and of the
+/// server side of a checkout (docs/metrics.md).
+struct StageHistograms {
+  obs::Histogram* lock_wait;
+  obs::Histogram* apply;
+  obs::Histogram* audit;
+  obs::Histogram* publish;
+  obs::Histogram* checkout;
+};
+
+const StageHistograms& Stages() {
+  static const StageHistograms stages = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    return StageHistograms{
+        registry.GetHistogram("server.checkin.lock_wait.ns"),
+        registry.GetHistogram("server.checkin.apply.ns"),
+        registry.GetHistogram("server.checkin.audit.ns"),
+        registry.GetHistogram("server.checkin.publish.ns"),
+        registry.GetHistogram("server.checkout.ns")};
+  }();
+  return stages;
+}
 }  // namespace
 
 Server::Server(schema::SchemaPtr schema) : schema_(std::move(schema)) {
   master_ = std::make_unique<core::Database>(schema_);
   versions_ = std::make_unique<version::VersionManager>(master_.get());
+  Stages();  // registered up front, so an idle server exports zeros
 }
 
 Result<ClientId> Server::Connect(std::string client_name) {
@@ -55,12 +79,16 @@ Result<ClientId> Server::Connect(std::string client_name) {
 }
 
 Status Server::Disconnect(ClientId client) {
+  // The session's pin is dropped after sessions_mu_ is released: freeing
+  // a snapshot is not free, and every reader's Query takes that mutex.
+  version::SnapshotPtr pin;
   {
     common::MutexLock lock(sessions_mu_);
     auto it = clients_.find(client);
     if (it == clients_.end()) {
       return Status::NotFound("client " + std::to_string(client.raw()));
     }
+    pin = std::move(it->second.snapshot);
     clients_.erase(it);
     SessionsGauge()->Add(-1);
   }
@@ -81,12 +109,12 @@ Result<std::uint64_t> Server::IdStripeBase(ClientId client) const {
 
 // --- Snapshots ---------------------------------------------------------------
 
-void Server::PublishSnapshotLocked() {
+version::SnapshotPtr Server::PublishSnapshotLocked() {
   std::uint64_t epoch = snapshot_epoch_.load(std::memory_order_relaxed) + 1;
   version::SnapshotPtr snap = version::Snapshot::Capture(*master_, epoch);
   {
     common::MutexLock lock(snapshot_mu_);
-    current_snapshot_ = std::move(snap);
+    current_snapshot_.swap(snap);
   }
   snapshot_epoch_.store(epoch, std::memory_order_release);
   static obs::Counter* publishes = obs::MetricsRegistry::Global().GetCounter(
@@ -95,11 +123,13 @@ void Server::PublishSnapshotLocked() {
   static obs::Gauge* epoch_gauge =
       obs::MetricsRegistry::Global().GetGauge("server.snapshot.epoch");
   epoch_gauge->Set(static_cast<std::int64_t>(epoch));
+  return snap;
 }
 
 void Server::PublishSnapshot() {
+  version::SnapshotPtr displaced;
   common::MutexLock lock(master_mu_);
-  PublishSnapshotLocked();
+  displaced = PublishSnapshotLocked();
 }
 
 version::SnapshotPtr Server::PinLatest() {
@@ -138,8 +168,9 @@ Result<version::SnapshotPtr> Server::SessionSnapshot(ClientId client) {
     return Status::NotFound("client " + std::to_string(client.raw()));
   }
   // First read of this session; a concurrent refresh may have pinned one
-  // in the window above, in which case that pin wins.
-  if (it->second.snapshot == nullptr) it->second.snapshot = std::move(snap);
+  // in the window above, in which case that pin wins (and `snap` is
+  // released after the lock, like every displaced pin).
+  if (it->second.snapshot == nullptr) it->second.snapshot.swap(snap);
   CountSnapshotPin();
   return it->second.snapshot;
 }
@@ -151,7 +182,8 @@ Status Server::RefreshSession(ClientId client) {
   if (it == clients_.end()) {
     return Status::NotFound("client " + std::to_string(client.raw()));
   }
-  it->second.snapshot = std::move(snap);
+  // The displaced pin lands in `snap`, released after the lock.
+  it->second.snapshot.swap(snap);
   CountSnapshotPin();
   return Status::OK();
 }
@@ -203,6 +235,7 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
   static obs::Counter* checkouts = obs::MetricsRegistry::Global().GetCounter(
       "multiuser.checkouts.total");
   checkouts->Increment();
+  obs::ScopedTimer timer(Stages().checkout);
   {
     common::MutexLock lock(sessions_mu_);
     if (clients_.find(client) == clients_.end()) {
@@ -247,44 +280,38 @@ Result<CheckoutBundle> Server::Checkout(ClientId client,
     }
     if (status.ok()) {
       // Collect subtree copies.
+      const auto& objects = master_->objects_raw();
       std::unordered_set<ObjectId> in_bundle;
-      for (ObjectId root : roots) {
-        std::vector<ObjectId> work{root};
+      auto collect = [&](std::vector<ObjectId> work) {
         while (!work.empty()) {
           ObjectId oid = work.back();
           work.pop_back();
-          auto it = master_->objects_raw().find(oid);
-          if (it == master_->objects_raw().end() || it->second.deleted) {
-            continue;
-          }
+          auto it = objects.find(oid);
+          if (it == objects.end() || it->second.deleted) continue;
           if (!in_bundle.insert(oid).second) continue;
           bundle.objects.push_back(it->second);
           work.insert(work.end(), it->second.children.begin(),
                       it->second.children.end());
+        }
+      };
+      for (ObjectId root : roots) collect({root});
+      // Live relationships whose both ends are in the subtrees, found
+      // through the subtree objects' adjacency (each relationship once,
+      // at its role-0 end), in id order, plus their attribute subtrees.
+      std::vector<RelationshipId> rel_ids;
+      for (const core::ObjectItem& obj : bundle.objects) {
+        for (const core::RelationshipEnd& end : master_->AdjacencyOf(obj.id)) {
+          if (end.role == 0 && in_bundle.count(end.other) != 0) {
+            rel_ids.push_back(end.rel);
+          }
         }
       }
-      // Relationships whose both ends are in the bundle, plus their
-      // attribute subtrees.
-      for (const auto& [rid, rel] : master_->relationships_raw()) {
-        if (rel.deleted) continue;
-        if (in_bundle.count(rel.ends[0]) == 0 ||
-            in_bundle.count(rel.ends[1]) == 0) {
-          continue;
-        }
+      std::sort(rel_ids.begin(), rel_ids.end());
+      for (RelationshipId rid : rel_ids) {
+        const core::RelationshipItem& rel =
+            master_->relationships_raw().at(rid);
         bundle.relationships.push_back(rel);
-        std::vector<ObjectId> work(rel.children.begin(), rel.children.end());
-        while (!work.empty()) {
-          ObjectId oid = work.back();
-          work.pop_back();
-          auto it = master_->objects_raw().find(oid);
-          if (it == master_->objects_raw().end() || it->second.deleted) {
-            continue;
-          }
-          if (!in_bundle.insert(oid).second) continue;
-          bundle.objects.push_back(it->second);
-          work.insert(work.end(), it->second.children.begin(),
-                      it->second.children.end());
-        }
+        collect(rel.children);
       }
     }
   }
@@ -319,118 +346,97 @@ Status Server::Checkin(ClientId client, const CheckinBundle& bundle,
   std::uint64_t stripe_hi = stripe_lo + kStripeSize;
 
   std::uint64_t seq = 0;
+  // The snapshot a successful commit displaces is released after
+  // master_mu_ (declared first, so destroyed last).
+  version::SnapshotPtr displaced;
+  const std::uint64_t wait_start = obs::NowNanos();
   {
     common::MutexLock lock(master_mu_);
+    Stages().lock_wait->Record(obs::NowNanos() - wait_start);
 
     // --- Validate lock coverage ----------------------------------------------
     const auto& objects = master_->objects_raw();
     const auto& rels = master_->relationships_raw();
+    auto reject = [this](Status status) {
+      checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
+      CountCheckinRejected();
+      return status;
+    };
+    std::unordered_set<ObjectId> object_ids;
     for (const core::ObjectItem& obj : bundle.objects) {
+      if (!object_ids.insert(obj.id).second) {
+        return reject(Status::InvalidArgument(
+            "check-in lists object " + std::to_string(obj.id.raw()) +
+            " twice"));
+      }
       auto existing = objects.find(obj.id);
       if (existing != objects.end()) {
         if (!locks_.IsHeldBy(client, RootOf(obj.id))) {
-          checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-          CountCheckinRejected();
-          return Status::LockConflict(
+          return reject(Status::LockConflict(
               "modified object '" + master_->FullName(obj.id) +
-              "' is not covered by a write lock of this client");
+              "' is not covered by a write lock of this client"));
         }
       } else if (obj.id.raw() < stripe_lo || obj.id.raw() >= stripe_hi) {
-        checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-        CountCheckinRejected();
-        return Status::FailedPrecondition(
+        return reject(Status::FailedPrecondition(
             "new object id " + std::to_string(obj.id.raw()) +
-            " lies outside the client's id stripe");
+            " lies outside the client's id stripe"));
       }
     }
+    std::unordered_set<RelationshipId> rel_ids;
     for (const core::RelationshipItem& rel : bundle.relationships) {
+      if (!rel_ids.insert(rel.id).second) {
+        return reject(Status::InvalidArgument(
+            "check-in lists relationship " + std::to_string(rel.id.raw()) +
+            " twice"));
+      }
       auto existing = rels.find(rel.id);
       if (existing == rels.end() &&
           (rel.id.raw() < stripe_lo || rel.id.raw() >= stripe_hi)) {
-        checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-        CountCheckinRejected();
-        return Status::FailedPrecondition(
+        return reject(Status::FailedPrecondition(
             "new relationship id " + std::to_string(rel.id.raw()) +
-            " lies outside the client's id stripe");
+            " lies outside the client's id stripe"));
       }
       // Every pre-existing participant must be covered by a lock: creating
       // or changing a relationship updates both ends' participation.
       for (ObjectId end : rel.ends) {
         if (objects.find(end) != objects.end() &&
             !locks_.IsHeldBy(client, RootOf(end))) {
-          checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-          CountCheckinRejected();
-          return Status::LockConflict(
+          return reject(Status::LockConflict(
               "relationship participant '" + master_->FullName(end) +
-              "' is not covered by a write lock of this client");
+              "' is not covered by a write lock of this client"));
         }
       }
     }
 
-    // --- Apply as a single transaction with undo log -------------------------
-    struct ObjectUndo {
-      ObjectId id;
-      bool existed;
-      core::ObjectItem old_state;
-    };
-    struct RelationshipUndo {
-      RelationshipId id;
-      bool existed;
-      core::RelationshipItem old_state;
-    };
-    std::vector<ObjectUndo> object_undo;
-    std::vector<RelationshipUndo> rel_undo;
-    for (const core::ObjectItem& obj : bundle.objects) {
-      auto existing = objects.find(obj.id);
-      ObjectUndo undo;
-      undo.id = obj.id;
-      undo.existed = existing != objects.end();
-      if (undo.existed) undo.old_state = existing->second;
-      object_undo.push_back(std::move(undo));
-      master_->RestoreObject(obj);
+    // --- Apply as a single transaction, audit the change ---------------------
+    core::ItemBatch undo;
+    {
+      obs::ScopedTimer timer(Stages().apply);
+      undo = master_->ReplaceItems(
+          core::ItemBatch::Of(bundle.objects, bundle.relationships));
     }
-    for (const core::RelationshipItem& rel : bundle.relationships) {
-      auto existing = rels.find(rel.id);
-      RelationshipUndo undo;
-      undo.id = rel.id;
-      undo.existed = existing != rels.end();
-      if (undo.existed) undo.old_state = existing->second;
-      rel_undo.push_back(std::move(undo));
-      master_->RestoreRelationship(rel);
+    core::Report audit;
+    {
+      obs::ScopedTimer timer(Stages().audit);
+      audit = master_->AuditChange(undo);
     }
-    master_->RebuildIndexes();
-
-    core::Report audit = master_->AuditConsistency();
     if (!audit.clean()) {
-      for (auto it = rel_undo.rbegin(); it != rel_undo.rend(); ++it) {
-        if (it->existed) {
-          master_->RestoreRelationship(it->old_state);
-        } else {
-          master_->EraseRelationshipTrusted(it->id);
-        }
-      }
-      for (auto it = object_undo.rbegin(); it != object_undo.rend(); ++it) {
-        if (it->existed) {
-          master_->RestoreObject(it->old_state);
-        } else {
-          master_->EraseObjectTrusted(it->id);
-        }
-      }
-      master_->RebuildIndexes();
-      checkins_rejected_.fetch_add(1, std::memory_order_relaxed);
-      CountCheckinRejected();
+      // The inverse batch restores every previous state, derived
+      // structures included.
+      master_->ReplaceItems(std::move(undo));
       // Locks are deliberately kept: the client can repair and retry.
-      return Status::ConsistencyViolation(
+      return reject(Status::ConsistencyViolation(
           "check-in rejected: " + audit.violations.front().ToString() +
           (audit.size() > 1
                ? " (and " + std::to_string(audit.size() - 1) + " more)"
-               : ""));
+               : "")));
     }
 
     seq = next_commit_seq_++;
     // Publish before releasing the stripes: the next checkout winner's
     // snapshot already contains this commit.
-    PublishSnapshotLocked();
+    obs::ScopedTimer timer(Stages().publish);
+    displaced = PublishSnapshotLocked();
   }
 
   // Success: release all locks held by this client and move its session

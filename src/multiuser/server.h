@@ -11,8 +11,11 @@
 // The paper left this unimplemented; we implement it in-process. Checkout
 // granularity is the independent-object subtree. New item ids are drawn
 // from per-client id stripes so concurrent clients never collide. Check-in
-// is all-or-nothing: the server applies the client's changed items, audits
-// consistency, and rolls the master back if the audit fails.
+// is all-or-nothing and costs the size of the bundle, not of the master:
+// the server replaces the client's changed items through
+// Database::ReplaceItems (which keeps every index current), audits only
+// the change's neighbourhood (Database::AuditChange), and rolls the master
+// back with the inverse batch if the audit fails.
 //
 // Note how the paper's completeness split pays off here: a partial checkout
 // is a *consistent* (if incomplete) database, because minimum cardinalities
@@ -32,7 +35,9 @@
 //     check-in serializes, under `master_mu_`.
 //   * Lock order (outer to inner): sessions_mu_ -> lock stripes ->
 //     master_mu_ -> snapshot_mu_. No method takes an earlier mutex while
-//     holding a later one.
+//     holding a later one, and none drops a snapshot pin while holding
+//     any of them: a displaced pin may be the last, and freeing a
+//     snapshot costs about as much as capturing one.
 //
 // Direct access through master()/global_versions() bypasses all of this
 // and is for single-threaded setup and inspection only; call
@@ -161,12 +166,13 @@ class Server {
 
   /// Applies the client's modified items to the master in a single
   /// transaction: every changed pre-existing item must belong to a subtree
-  /// locked by the client; the master is audited afterwards and rolled
-  /// back wholesale on any consistency violation (locks are kept, so the
-  /// client can repair and retry). On success the client's locks are
-  /// released, the next snapshot is published, the client's session is
-  /// re-pinned to it (read-your-writes), and `commit_seq` (if non-null)
-  /// receives this commit's position in the server's total commit order.
+  /// locked by the client, and each item may be listed once; the change
+  /// is audited afterwards and rolled back wholesale on any consistency
+  /// violation (locks are kept, so the client can repair and retry). On
+  /// success the client's locks are released, the next snapshot is
+  /// published, the client's session is re-pinned to it
+  /// (read-your-writes), and `commit_seq` (if non-null) receives this
+  /// commit's position in the server's total commit order.
   Status Checkin(ClientId client, const CheckinBundle& bundle,
                  std::uint64_t* commit_seq = nullptr)
       SEED_EXCLUDES(master_mu_);
@@ -199,8 +205,9 @@ class Server {
   /// entry points, which each count one pin).
   version::SnapshotPtr PinLatest() SEED_EXCLUDES(master_mu_);
 
-  /// Captures and publishes the next snapshot; bumps the epoch.
-  void PublishSnapshotLocked() SEED_REQUIRES(master_mu_);
+  /// Captures and publishes the next snapshot; bumps the epoch. Returns
+  /// the displaced snapshot for the caller to release after master_mu_.
+  version::SnapshotPtr PublishSnapshotLocked() SEED_REQUIRES(master_mu_);
 
   schema::SchemaPtr schema_;
   // Set once in the constructor and never reset. The pointees are

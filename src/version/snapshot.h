@@ -6,7 +6,8 @@
 // shared_ptr<const Snapshot>: pinning is a refcount bump, readers run
 // whole query workloads against the frozen state without ever touching a
 // writer's lock, and the copy is freed when the last pin drops. Capture
-// itself is the only expensive step (a full structural clone), so the
+// is the only expensive step: one flat copy of the item tables and of the
+// derived structures (Database::Clone), with nothing re-derived, so the
 // server captures once per commit and every reader shares the result.
 
 #ifndef SEED_VERSION_SNAPSHOT_H_
@@ -25,11 +26,12 @@ using SnapshotPtr = std::shared_ptr<const Snapshot>;
 class Snapshot {
  public:
   /// Freezes a full copy of `source`: raw item states (tombstones
-  /// included, so id spaces and audits replay exactly), attribute-index
-  /// definitions, and rebuilt retrieval maps. The caller must serialize
-  /// with writers of `source` — typically by capturing under the master
-  /// mutex; the returned snapshot itself is immutable and safe to read
-  /// from any number of threads concurrently.
+  /// included, so id spaces and audits replay exactly), retrieval maps,
+  /// extent counters and attribute indexes with their entries, copied as
+  /// they are. Attached procedures and change tracking stay behind. The
+  /// caller must serialize with writers of `source` — typically by
+  /// capturing under the master mutex; the returned snapshot itself is
+  /// immutable and safe to read from any number of threads concurrently.
   static SnapshotPtr Capture(const core::Database& source,
                              std::uint64_t epoch);
 

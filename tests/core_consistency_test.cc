@@ -295,21 +295,22 @@ TEST_F(ConsistencyTest, DetachProceduresStopsVeto) {
 // --- Audit agrees with incremental checks ------------------------------------
 
 TEST_F(ConsistencyTest, AuditDetectsHandCraftedViolation) {
-  // Bypass the API via RestoreObject to inject a duplicate name, then make
-  // sure AuditConsistency sees it (and clean it up for TearDown).
+  // Bypass the API via ReplaceItems to inject a duplicate name, then make
+  // sure both audits see it (and clean it up for TearDown).
   ObjectId a = *db_->CreateObject(ids_.data, "Alarms");
   ObjectItem rogue;
   rogue.id = ObjectId(9999);
   rogue.cls = ids_.data;
   rogue.name = "Alarms";
-  db_->RestoreObject(rogue);
-  db_->RebuildIndexes();
+  ItemBatch batch;
+  batch.objects.push_back({rogue.id, rogue});
+  ItemBatch undo = db_->ReplaceItems(std::move(batch));
   Report audit = db_->AuditConsistency();
   EXPECT_FALSE(audit.clean());
   EXPECT_FALSE(audit.Of(Rule::kNameConflict).empty());
-  db_->EraseObjectTrusted(ObjectId(9999));
-  db_->RebuildIndexes();
-  (void)a;
+  EXPECT_FALSE(db_->AuditChange(undo).Of(Rule::kNameConflict).empty());
+  db_->ReplaceItems(std::move(undo));
+  EXPECT_EQ(*db_->FindObjectByName("Alarms"), a);
 }
 
 TEST_F(ConsistencyTest, ReportToStringIsReadable) {
